@@ -174,6 +174,12 @@ impl PhaseStats {
         }
     }
 
+    /// A copy without the chunk timeline: what a search keeps of a phase once
+    /// the pipeline composition has consumed the marks.
+    pub fn without_timeline(&self) -> Self {
+        PhaseStats { chunk_marks: Vec::new(), ..*self }
+    }
+
     /// Per-chunk durations derived from the cumulative marks.
     pub fn chunk_durations(&self) -> Vec<u64> {
         let mut prev = 0;

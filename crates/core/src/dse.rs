@@ -4,42 +4,57 @@
 //! The mapper of [`crate::mapper`] answers "which of *these* candidates is
 //! best?"; this module answers the question the paper says mappers and DSE
 //! tools actually need (Section I): **what is the true optimum of the full
-//! enumerated space for this workload?** It does so with:
+//! enumerated space for this workload?** It does so with a plan-first,
+//! bound-ordered sweep ([`explore`]):
 //!
-//! * a streaming, chunked work queue over [`PatternSpace`] — workers claim
-//!   index ranges from an atomic cursor, materialise each pattern on demand,
-//!   concretise it with the balanced tile policy, and evaluate it; the space is
-//!   never collected into a `Vec`;
-//! * per-worker top-K reduction merged at join, with deterministic
-//!   (thread-count-independent) tie-breaking by pattern index;
-//! * optional seeding with the Table V presets and their CA companions
-//!   (their hand-tuned tile policies are not always reachable by the balanced
-//!   concretisation, so seeding guarantees the reported optimum is never worse
-//!   than any preset);
-//! * an optional second refinement stage that hill-climbs tile sizes around
-//!   each surviving winner ([`crate::mapper::refine_tiles`]);
-//! * a workload-keyed [`DseCache`] so repeated sweeps (e.g. the bench harness
-//!   evaluating 12 knob points against the exhaustive optimum) never re-search
-//!   the same workload.
+//! * **seed** — the Table V presets and their CA companions are evaluated
+//!   first (their hand-tuned tile policies are not always reachable by the
+//!   balanced concretisation, so seeding guarantees the reported optimum is
+//!   never worse than any preset, and their scores give the first pruning
+//!   threshold);
+//! * **plan** — every pattern of [`PatternSpace`] is concretised with the
+//!   balanced tile policy and planned once, in parallel, keeping only its
+//!   admissible cycle lower bound and index; the list is sorted by bound;
+//! * **waves** — the sorted list is walked in fixed-size waves: the phase
+//!   simulations a wave needs that are not memoised yet are run exactly once
+//!   across the workers (longest first), the wave's candidates are composed
+//!   from them, and the results merge in index order into one top-K (or the
+//!   Pareto frontier), which tightens the threshold for the next wave;
+//! * **stop** — under runtime pruning the sweep ends at the first candidate
+//!   whose bound exceeds the threshold: the list is sorted, so every later
+//!   candidate is pruned too;
+//! * an optional refinement stage hill-climbs tile sizes around each surviving
+//!   winner ([`crate::mapper::refine_tiles`]);
+//! * a workload-keyed [`DseCache`] lets repeated sweeps (e.g. the bench
+//!   harness evaluating 12 knob points against the exhaustive optimum) skip
+//!   re-searching the same workload.
+//!
+//! Which candidates a wave holds and what it simulates depend only on the
+//! sorted list and the merged results, never on which worker finished first,
+//! so the ranked output *and* the work counters are thread-count-invariant.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard,
+    RwLockWriteGuard,
+};
 use std::time::Instant;
 
 use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
-use omega_accel::AccelConfig;
+use omega_accel::{AccelConfig, PhaseStats};
 use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
 use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, InterPhase, IntraPattern, MappingSpec};
 
-use crate::evaluate::DseEval;
+use crate::evaluate::{EvalPlan, PhaseKey, MAX_CACHED_MARKS};
 use crate::mapper::{refine_tiles, Objective};
-use crate::{CostReport, GnnWorkload, PhaseSimCache, PreparedEval};
+use crate::{CostReport, GnnWorkload, PreparedEval};
 
 pub mod model;
 
@@ -54,15 +69,16 @@ pub struct DseOptions {
     pub top_k: usize,
     /// Hill-climbing steps per winner in the refinement stage (0 disables it).
     pub refine_steps: usize,
-    /// Patterns per work-queue claim.
-    pub chunk: usize,
     /// Also evaluate the Table V presets + CA companions as seeds, so the
     /// reported optimum is never worse than any preset's hand-tuned tiling.
     pub seed_presets: bool,
     /// Skip simulating candidates whose admissible cycle lower bound already
     /// exceeds the worst retained top-K score (active under the `Runtime`
     /// objective only; the ranked output is bit-identical either way —
-    /// disable to exercise the brute-force reference path).
+    /// disable to exercise the brute-force reference path). The sweep visits
+    /// candidates in ascending bound order, so it stops at the first one over
+    /// the threshold and counts the rest as pruned; the threshold tightens
+    /// once per wave, so what is pruned does not depend on `threads`.
     pub prune: bool,
     /// Memoise phase simulations across candidates, so `Sequential`/`SP`
     /// sweeps pay for each *unique* phase configuration once (bit-identical
@@ -84,7 +100,6 @@ impl Default for DseOptions {
             threads: 4,
             top_k: 10,
             refine_steps: 0,
-            chunk: 64,
             seed_presets: true,
             prune: true,
             phase_cache: true,
@@ -141,7 +156,7 @@ pub struct ExploreOutcome {
     /// The (runtime, energy, buffer-footprint) Pareto frontier in runtime
     /// order, when [`DseOptions::pareto`] is set (empty otherwise).
     /// Deterministic: the set of mutually non-dominated candidates is a
-    /// property of the space, independent of threads, chunking, and pruning.
+    /// property of the space, independent of threads and pruning.
     pub frontier: Vec<ParetoPoint>,
     /// Size of the enumerated space (the paper's 6,656).
     pub space: usize,
@@ -149,15 +164,18 @@ pub struct ExploreOutcome {
     pub evaluated: usize,
     /// Candidates rejected by dataflow validation.
     pub skipped: usize,
-    /// Candidates whose admissible cycle lower bound proved they cannot enter
-    /// the ranked top-K, skipped without simulation ([`DseOptions::prune`]).
+    /// Candidates whose admissible bounds proved they cannot enter the ranked
+    /// top-K (or the frontier), skipped without simulation
+    /// ([`DseOptions::prune`]).
     pub pruned: usize,
-    /// Phase simulations the explorer's [`PhaseSimCache`] actually ran —
-    /// unique phase configurations (0 when the cache is disabled: direct
+    /// Phase simulations the sweep ran: each unique phase configuration once
+    /// (an oversized-timeline one once per wave that needs it, since it is not
+    /// memoised); 0 when [`DseOptions::phase_cache`] is off (direct
     /// simulations are not counted).
     pub phase_sims: usize,
-    /// Phase-simulation lookups answered from the cache instead of re-running
-    /// an engine (0 when [`DseOptions::phase_cache`] is off).
+    /// Phase results the candidates' compositions took from an earlier
+    /// simulation instead of their own: lookups minus `phase_sims` (0 when
+    /// [`DseOptions::phase_cache`] is off).
     pub phase_cache_hits: usize,
     /// Preset seeds evaluated.
     pub seeded: usize,
@@ -256,11 +274,10 @@ impl<C, R> Entry<C, R> {
 /// deduplicated by candidate: capacity counts *distinct* candidates, with only
 /// the best-keyed entry kept per candidate.
 ///
-/// Distinctness is what makes [`TopK::worst_at_capacity`] a sound *global*
-/// pruning threshold: once a worker retains `k` distinct candidates, any
-/// candidate that cannot beat the worst of them can never appear in the final
-/// ranked list (which also dedups by candidate), no matter which worker would
-/// have evaluated it.
+/// Distinctness is what makes [`TopK::worst_at_capacity`] a sound pruning
+/// threshold: once `k` distinct candidates are retained, any candidate that
+/// cannot beat the worst of them can never appear in the final ranked list
+/// (which also dedups by candidate).
 #[derive(Debug)]
 struct TopK<C, R> {
     k: usize,
@@ -293,8 +310,8 @@ impl<C: PartialEq, R> TopK<C, R> {
     }
 
     /// The worst retained score once `k` distinct candidates are held —
-    /// monotonically non-increasing over a worker's lifetime, hence safe to
-    /// publish into the shared pruning threshold at any point.
+    /// monotonically non-increasing as offers arrive, hence a threshold that
+    /// only ever tightens.
     fn worst_at_capacity(&self) -> Option<f64> {
         (self.entries.len() == self.k).then(|| self.entries.last().expect("at capacity").score)
     }
@@ -371,10 +388,11 @@ impl<C: PartialEq, R> ParetoFront<C, R> {
 }
 
 /// Cooperative cancellation for long-running searches: a cheap, cloneable
-/// flag checked by the parallel-search workers at every chunk claim. A serving
-/// process hands one to each search it might abandon (deadline expiry,
-/// shutdown), so an abandoned search stops burning workers within one chunk
-/// (~64 candidate evaluations) instead of running to completion.
+/// flag the [`explore_cancellable`] workers check before claiming each phase
+/// simulation, composition, or planning chunk. A serving process hands one to
+/// each search it might abandon (deadline expiry, shutdown), so an abandoned
+/// search stops burning workers once the simulations already running finish,
+/// instead of running to completion.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<std::sync::atomic::AtomicBool>);
 
@@ -401,99 +419,65 @@ pub(crate) type Scored = (f64, usize, GnnDataflow, CostReport);
 /// A generic scored candidate: `(score, tie-break index, candidate, report)`.
 pub(crate) type ScoredEntry<C, R> = (f64, usize, C, R);
 
-/// How one candidate fared inside [`parallel_search`].
-pub(crate) enum Verdict<R> {
-    /// Evaluated successfully: `(objective value, report)`.
-    Score(f64, R),
-    /// Structurally invalid — counted as skipped, as if it never evaluated.
-    Skip,
-    /// Lower-bound-pruned against the shared threshold — simulation elided.
-    Prune,
-}
+/// How [`parallel_search`] scores a candidate (given its enumeration index):
+/// `Some((objective value, report))`, or `None` when it is structurally
+/// invalid.
+pub(crate) type Scorer<'f, C, R> = dyn Fn(&C, usize) -> Option<(f64, R)> + Sync + 'f;
 
-/// Shape of any streaming parallel candidate search.
+/// Shape of a streaming parallel candidate search.
 pub(crate) struct ParallelJob {
     /// Winners to keep per worker (and overall).
     pub k: usize,
     pub threads: usize,
     /// Candidates per work-queue claim.
     pub chunk: usize,
-    /// Starting value of the shared pruning threshold (`f64::INFINITY` when no
-    /// pre-evaluated entries warrant one).
-    pub init_threshold: f64,
-    /// Cooperative cancellation, checked at every chunk claim (`None` = never
-    /// cancelled). A cancelled search returns partial results the caller must
-    /// discard — determinism only holds for completed sweeps.
-    pub cancel: Option<CancelToken>,
 }
 
 /// Evaluates `count` candidates produced on demand by `gen` across scoped
-/// workers pulling chunked ranges from an atomic cursor; `score` turns a
-/// candidate (plus its enumeration index and the current pruning threshold)
-/// into a [`Verdict`]. Returns the merged (unsorted) per-worker top-K lists
-/// plus `(evaluated, skipped, pruned)` counts.
+/// workers pulling chunked ranges from an atomic cursor, scoring each with
+/// `score` (invalid ones count as skipped). Returns the merged (unsorted)
+/// per-worker top-K lists plus `(evaluated, skipped)` counts. Ties break by
+/// index, so the merged winners do not depend on the thread count.
 ///
-/// Workers share one atomic pruning threshold: whenever a worker holds `k`
-/// *distinct* retained candidates it publishes its worst retained score
-/// (`fetch_min` over the float's bit pattern — non-negative floats order like
-/// their bits), and `score` may answer [`Verdict::Prune`] for any candidate
-/// whose admissible lower bound exceeds the threshold it was handed. The
-/// ranked outcome is bit-identical with pruning on or off; only the work
-/// performed differs.
-///
-/// Generic over the candidate type: [`explore`] and [`crate::mapper::best_of`]
-/// search [`GnnDataflow`]s, [`model::explore_model`] searches whole-model
-/// mappings — all through this one deterministic (thread-count-invariant)
-/// primitive.
+/// The search primitive of [`crate::mapper::best_of`] (an explicit dataflow
+/// list) and [`model::explore_model`] (whole-model mappings); the layer sweep
+/// of [`explore`] runs its own plan-first sweep.
 pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
     count: usize,
     gen: &(dyn Fn(usize) -> C + Sync),
-    score: &(dyn Fn(&C, usize, f64) -> Verdict<R> + Sync),
+    score: &Scorer<'_, C, R>,
     job: &ParallelJob,
-) -> (Vec<ScoredEntry<C, R>>, usize, usize, usize) {
+) -> (Vec<ScoredEntry<C, R>>, usize, usize) {
     if count == 0 {
-        return (Vec::new(), 0, 0, 0);
+        return (Vec::new(), 0, 0);
     }
     let threads = job.threads.max(1).min(count);
     let cursor = AtomicUsize::new(0);
     let cursor = &cursor;
-    let threshold = AtomicU64::new(job.init_threshold.max(0.0).to_bits());
-    let threshold = &threshold;
-    let run_worker = || -> (TopK<C, R>, usize, usize, usize) {
+    let run_worker = || -> (TopK<C, R>, usize, usize) {
         let chunk = job.chunk.max(1);
         let mut top = TopK::new(job.k);
         let mut evaluated = 0usize;
         let mut skipped = 0usize;
-        let mut pruned = 0usize;
         loop {
-            if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
             if start >= count {
                 break;
             }
             for index in start..(start + chunk).min(count) {
                 let candidate = gen(index);
-                let thr = f64::from_bits(threshold.load(Ordering::Relaxed));
-                match score(&candidate, index, thr) {
-                    Verdict::Score(score, report) => {
+                match score(&candidate, index) {
+                    Some((score, report)) => {
                         evaluated += 1;
                         top.offer(Entry { score, index, candidate, report });
-                        if let Some(worst) = top.worst_at_capacity() {
-                            if worst >= 0.0 {
-                                threshold.fetch_min(worst.to_bits(), Ordering::Relaxed);
-                            }
-                        }
                     }
-                    Verdict::Skip => skipped += 1,
-                    Verdict::Prune => pruned += 1,
+                    None => skipped += 1,
                 }
             }
         }
-        (top, evaluated, skipped, pruned)
+        (top, evaluated, skipped)
     };
-    let results: Vec<(TopK<C, R>, usize, usize, usize)> = thread::scope(|s| {
+    let results: Vec<(TopK<C, R>, usize, usize)> = thread::scope(|s| {
         let handles: Vec<_> = (0..threads).map(|_| s.spawn(|_| run_worker())).collect();
         handles.into_iter().map(|h| h.join().expect("dse worker panicked")).collect()
     })
@@ -502,14 +486,12 @@ pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
     let mut merged = Vec::new();
     let mut evaluated = 0;
     let mut skipped = 0;
-    let mut pruned = 0;
-    for (top, e, s, p) in results {
+    for (top, e, s) in results {
         evaluated += e;
         skipped += s;
-        pruned += p;
         merged.extend(top.entries.into_iter().map(|e| (e.score, e.index, e.candidate, e.report)));
     }
-    (merged, evaluated, skipped, pruned)
+    (merged, evaluated, skipped)
 }
 
 /// Shared parameters of a parallel *dataflow* candidate search.
@@ -525,56 +507,41 @@ pub(crate) struct SearchJob<'a> {
 }
 
 /// [`parallel_search`] specialised to dataflow candidates scored by
-/// [`evaluate`] — the primitive shared by [`explore`] (over the full pattern
-/// space) and [`crate::mapper::best_of`] (over an explicit candidate slice).
+/// [`crate::evaluate`] — the primitive behind [`crate::mapper::best_of`]
+/// (over an explicit candidate slice).
 pub(crate) fn parallel_top_k(
     count: usize,
     gen: &(dyn Fn(usize) -> GnnDataflow + Sync),
     job: &SearchJob<'_>,
 ) -> (Vec<Scored>, usize, usize) {
-    let pjob = ParallelJob {
-        k: job.k,
-        threads: job.threads,
-        chunk: job.chunk,
-        init_threshold: f64::INFINITY,
-        cancel: None,
-    };
+    let pjob = ParallelJob { k: job.k, threads: job.threads, chunk: job.chunk };
     let prep = PreparedEval::new(job.workload, job.cfg);
-    let score = |dataflow: &GnnDataflow, _index: usize, _thr: f64| -> Verdict<CostReport> {
-        dse_verdict(prep.evaluate_dse(dataflow, None, None), job.objective)
+    // Winners are retained without their chunk timelines: a poorly-tiled PP
+    // candidate's marks run to millions of entries.
+    let score = |dataflow: &GnnDataflow, _index: usize| -> Option<(f64, CostReport)> {
+        let plan = prep.plan(dataflow).ok()?;
+        let phases = plan.keys().map(|k| Arc::new(prep.simulate(k)));
+        let report = prep.compose_from(dataflow, &plan, false, phases);
+        Some((job.objective.score(&report), report))
     };
-    let (merged, evaluated, skipped, _pruned) = parallel_search(count, gen, &score, &pjob);
-    (merged, evaluated, skipped)
-}
-
-/// Turns a [`DseEval`] into a search [`Verdict`], stripping the per-chunk
-/// pipeline timelines before retention: ranked winners don't need them, and a
-/// poorly-tiled PP candidate's marks run to millions of entries — dropping
-/// them keeps per-worker top-K memory bounded. (Re-run [`evaluate`] on a
-/// winner to recover its timeline.) Shared by [`parallel_top_k`] and
-/// [`explore`] so the mapper and explorer paths cannot diverge.
-fn dse_verdict(eval: DseEval, objective: Objective) -> Verdict<CostReport> {
-    match eval {
-        DseEval::Report(report) => {
-            let mut report = *report;
-            report.agg.chunk_marks = Vec::new();
-            report.cmb.chunk_marks = Vec::new();
-            if let Some(s) = report.sddmm.as_mut() {
-                s.chunk_marks = Vec::new();
-            }
-            Verdict::Score(objective.score(&report), report)
-        }
-        DseEval::Invalid => Verdict::Skip,
-        DseEval::Pruned => Verdict::Prune,
-    }
+    parallel_search(count, gen, &score, &pjob)
 }
 
 /// Exhaustively searches the full 6,656-pattern space for `workload` on `cfg`.
 ///
-/// Deterministic: the ranked result is independent of `threads` and `chunk`
-/// (ties broken by enumeration index) — and of [`DseOptions::prune`] and
-/// [`DseOptions::phase_cache`], which only change the work performed, never
-/// the ranked output.
+/// Plan-first and bound-ordered (see the [module docs](self)): the preset
+/// seeds are evaluated first, every pattern is planned once and sorted by its
+/// admissible cycle lower bound, and the sorted list is walked in waves that
+/// simulate each unique phase configuration once across the workers, compose
+/// the wave's candidates from those results, and tighten the pruning
+/// threshold between waves.
+///
+/// Deterministic: the ranked result — and every work counter (`evaluated`,
+/// `pruned`, `skipped`, `phase_sims`, `phase_cache_hits`) — is independent of
+/// `threads` (ties broken by enumeration index), because wave boundaries and
+/// thresholds depend only on the sorted list. [`DseOptions::prune`] and
+/// [`DseOptions::phase_cache`] only change the work performed, never the
+/// ranked output.
 ///
 /// ```
 /// use omega_core::dse::{explore, DseOptions};
@@ -599,8 +566,9 @@ pub fn explore(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> 
         .expect("a never-cancelled exploration always completes")
 }
 
-/// [`explore`] with cooperative cancellation: returns `None` — and stops
-/// burning worker threads within one work-queue chunk — once `cancel` fires.
+/// [`explore`] with cooperative cancellation: returns `None` once `cancel`
+/// fires — the workers stop at their next claim, so a cancelled sweep stops
+/// burning threads as soon as the simulations already running finish.
 /// Partial results are discarded (determinism only holds for completed
 /// sweeps); a `None` therefore means "no answer", never "a worse answer".
 pub fn explore_cancellable(
@@ -618,103 +586,41 @@ pub fn explore_cancellable(
     let total = space.len();
     let threads = opts.threads.max(1);
     let prep = PreparedEval::new(workload, cfg);
-    let phase_cache = PhaseSimCache::new();
-    let cache_ref = opts.phase_cache.then_some(&phase_cache);
-
-    // Seed with the presets' hand-tuned concretisations *before* the sweep
-    // (indices past the space keep tie-breaking deterministic and mark them as
-    // non-enumerated). Seeds are unconditionally part of the final pool, so
-    // under Runtime pruning their K-th best distinct score is a sound initial
-    // threshold — the sweep can prune from candidate one.
-    let mut seeds: Vec<Scored> = Vec::new();
-    if opts.seed_presets {
-        for (j, df) in crate::mapper::extended_candidates(workload, cfg).into_iter().enumerate() {
-            if let DseEval::Report(report) = prep.evaluate_dse(&df, cache_ref, None) {
-                let score = opts.objective.score(&report);
-                seeds.push((score, total + j, df, *report));
-            }
-        }
-    }
-    let seeded = seeds.len();
-    let pareto = opts.pareto;
-    let pruning = opts.prune && opts.objective == Objective::Runtime && !pareto;
-    let init_threshold =
-        if pruning { kth_distinct_score(&seeds, opts.top_k) } else { f64::INFINITY };
-
-    // In pareto mode the shared frontier starts from the seeds (they are part
-    // of the final pool unconditionally), so 3-axis bound-vector domination
-    // pruning can engage from candidate one. The single-objective top-K
-    // threshold is disabled instead: a runtime-dominated candidate can still
-    // be Pareto-optimal on energy or footprint.
-    let front: Mutex<ParetoFront<GnnDataflow, CostReport>> = Mutex::new(ParetoFront::new());
-    if pareto {
-        let mut f = lock_recover(&front);
-        for (_, index, df, report) in &seeds {
-            f.offer(*index, *df, report.clone(), report_axes(report));
-        }
-    }
-
-    let space_ref = &space;
-    let gen = move |i: usize| concretize_pattern(&space_ref.get(i), workload, cfg);
-    let prep_ref = &prep;
-    let front_ref = &front;
-    let score = move |dataflow: &GnnDataflow, index: usize, thr: f64| -> Verdict<CostReport> {
-        let eval = if pareto {
-            let prune_if = |bounds: [f64; 3]| {
-                opts.prune
-                    && lock_recover(front_ref).strictly_dominates(&bounds)
-            };
-            prep_ref.evaluate_dse_pareto(dataflow, cache_ref, &prune_if)
-        } else {
-            prep_ref.evaluate_dse(dataflow, cache_ref, pruning.then_some(thr))
-        };
-        let verdict = dse_verdict(eval, opts.objective);
-        if pareto {
-            if let Verdict::Score(_, report) = &verdict {
-                lock_recover(front_ref).offer(
-                    index,
-                    *dataflow,
-                    report.clone(),
-                    report_axes(report),
-                );
-            }
-        }
-        verdict
+    let seeds = if opts.seed_presets {
+        crate::mapper::extended_candidates(workload, cfg)
+    } else {
+        Vec::new()
     };
-    let job = ParallelJob {
-        k: opts.top_k,
-        threads,
-        chunk: opts.chunk,
-        init_threshold,
-        cancel: Some(cancel.clone()),
-    };
-    let (mut merged, mut evaluated, skipped, pruned) = parallel_search(total, &gen, &score, &job);
+    let sweep = Sweep::new(&prep, &space, workload, cfg, opts, cancel, seeds);
+    let lockstep = Lockstep::new(threads);
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(|| sweep.work(&lockstep));
+        }
+        sweep.work(&lockstep);
+    });
     if cancel.is_cancelled() {
         // The sweep stopped early: its partial top-K must not masquerade as
         // the exhaustive optimum.
         return None;
     }
-    evaluated += seeded;
-    merged.extend(seeds);
+    let st = sweep.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let mut evaluated = st.evaluated;
 
-    let frontier = if pareto {
-        front
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_sorted()
-            .into_iter()
-            .map(|(index, dataflow, report, axes)| ParetoPoint {
-                dataflow,
-                runtime_cycles: report.total_cycles,
-                energy_pj: axes[1],
-                buffer_peak_bytes: report.buffer_peak_bytes,
-                report,
-                pattern_index: (index < total).then_some(index),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let pareto = opts.pareto;
+    let frontier: Vec<ParetoPoint> = st
+        .front
+        .into_sorted()
+        .into_iter()
+        .map(|(index, dataflow, report, axes)| ParetoPoint {
+            dataflow,
+            runtime_cycles: report.total_cycles,
+            energy_pj: axes[1],
+            buffer_peak_bytes: report.buffer_peak_bytes,
+            report,
+            pattern_index: (index < total).then_some(index),
+        })
+        .collect();
     let ranked = if pareto {
         // The frontier is already deduplicated and in runtime order; its head
         // is the exact runtime optimum (nothing can dominate the min-runtime
@@ -730,7 +636,8 @@ pub fn explore_cancellable(
             })
             .collect()
     } else {
-        rank(merged, opts.top_k, total)
+        let pool = st.top.entries.into_iter().map(|e| (e.score, e.index, e.candidate, e.report));
+        rank(pool.collect(), opts.top_k, total)
     };
 
     // Refinement: hill-climb tile sizes around each surviving winner and
@@ -763,11 +670,11 @@ pub fn explore_cancellable(
         frontier,
         space: total,
         evaluated,
-        skipped,
-        pruned,
-        phase_sims: phase_cache.misses(),
-        phase_cache_hits: phase_cache.hits(),
-        seeded,
+        skipped: st.skipped,
+        pruned: st.pruned,
+        phase_sims: st.phase_sims,
+        phase_cache_hits: st.phase_cache_hits,
+        seeded: st.seeded,
         refine_evals,
         elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
         threads,
@@ -775,30 +682,436 @@ pub fn explore_cancellable(
     })
 }
 
+/// Candidates per wave of the layer sweep, and patterns per claim of its plan
+/// pass. Big enough to keep every worker busy, small enough that the pruning
+/// threshold tightens often; 32–256 measured alike.
+const WAVE: usize = 64;
+
+/// Timeline entries a wave may hold in results too big to memoise
+/// (`MAX_CACHED_MARKS`), 32 MiB of marks: a wave keeps every result it
+/// simulates until its candidates are composed, so degenerately tiled PP
+/// candidates, whose timelines run to millions of marks, go a few at a time.
+/// A wave always admits its first candidate.
+const WAVE_TIMELINE: u64 = 1 << 22;
+
+/// The plan-first, bound-ordered sweep of [`explore_cancellable`], shared by
+/// its workers. Every worker runs [`Self::work`]; the parallel steps read the
+/// state and claim items from `cursor`, and the serial steps (run by whichever
+/// worker reaches a [`Lockstep::sync`] last) merge results and set up the
+/// next wave.
+struct Sweep<'s, 'a> {
+    prep: &'s PreparedEval<'a>,
+    space: &'s PatternSpace,
+    workload: &'s GnnWorkload,
+    cfg: &'s AccelConfig,
+    opts: &'s DseOptions,
+    cancel: &'s CancelToken,
+    /// Runtime top-K pruning is on (pareto mode prunes by bound vector).
+    pruning: bool,
+    /// Next item to claim in the current parallel step; every serial step
+    /// resets it.
+    cursor: AtomicUsize,
+    /// Written only by the serial steps (and by the plan pass handing in its
+    /// results before the first one).
+    state: RwLock<SweepState>,
+}
+
+/// An admitted candidate.
+struct Candidate {
+    /// Pattern index (past the space for a seed).
+    index: usize,
+    dataflow: GnnDataflow,
+    plan: EvalPlan,
+    /// Phase ids of the plan's keys, in [`EvalPlan::keys`] order (empty with
+    /// the phase cache off).
+    phases: Vec<usize>,
+}
+
+/// The sweep's state.
+struct SweepState {
+    /// The wave's candidates, in index order.
+    cands: Vec<Candidate>,
+    /// Ids of the phases the wave simulates, longest (largest phase bound)
+    /// first.
+    todo: Vec<usize>,
+    /// One composed report per candidate.
+    reports: Vec<OnceLock<CostReport>>,
+    /// No wave left: the sweep is complete or cancelled.
+    done: bool,
+    /// Every phase configuration seen so far, by id.
+    keys: Vec<PhaseKey>,
+    /// The id of every phase configuration seen so far.
+    ids: HashMap<PhaseKey, usize>,
+    /// Each phase's result: memoised, or simulated for the wave in flight. A
+    /// result too big to memoise is dropped after its wave, so it is
+    /// simulated once per wave that needs it.
+    stats: Vec<OnceLock<Arc<PhaseStats>>>,
+    /// Per phase id, the last wave that queued it for simulation.
+    queued: Vec<usize>,
+    /// Number of the wave being set up (from 1).
+    wave: usize,
+    /// Timeline entries the wave being set up holds in results too big to
+    /// memoise.
+    timeline: u64,
+    /// Preset seeds not yet admitted (taken by the first wave).
+    seeds: Vec<GnnDataflow>,
+    /// The plan pass's output — `(cycle lower bound, pattern index)` of every
+    /// valid pattern — sorted.
+    order: Vec<(u64, usize)>,
+    /// Next position of `order` to admit.
+    pos: usize,
+    top: TopK<GnnDataflow, CostReport>,
+    front: ParetoFront<GnnDataflow, CostReport>,
+    evaluated: usize,
+    skipped: usize,
+    pruned: usize,
+    seeded: usize,
+    phase_sims: usize,
+    phase_cache_hits: usize,
+}
+
+impl<'s, 'a> Sweep<'s, 'a> {
+    fn new(
+        prep: &'s PreparedEval<'a>,
+        space: &'s PatternSpace,
+        workload: &'s GnnWorkload,
+        cfg: &'s AccelConfig,
+        opts: &'s DseOptions,
+        cancel: &'s CancelToken,
+        seeds: Vec<GnnDataflow>,
+    ) -> Self {
+        Sweep {
+            prep,
+            space,
+            workload,
+            cfg,
+            opts,
+            cancel,
+            pruning: opts.prune && opts.objective == Objective::Runtime && !opts.pareto,
+            cursor: AtomicUsize::new(0),
+            state: RwLock::new(SweepState {
+                cands: Vec::new(),
+                todo: Vec::new(),
+                reports: Vec::new(),
+                done: false,
+                keys: Vec::new(),
+                ids: HashMap::new(),
+                stats: Vec::new(),
+                queued: Vec::new(),
+                wave: 0,
+                timeline: 0,
+                seeds,
+                order: Vec::new(),
+                pos: 0,
+                top: TopK::new(opts.top_k),
+                front: ParetoFront::new(),
+                evaluated: 0,
+                skipped: 0,
+                pruned: 0,
+                seeded: 0,
+                phase_sims: 0,
+                phase_cache_hits: 0,
+            }),
+        }
+    }
+
+    /// One worker's share of the whole sweep: the plan pass, then per wave a
+    /// simulation step and a composition step, each closed by a rendezvous.
+    fn work(&self, lockstep: &Lockstep) {
+        let _breaker = Breaker(lockstep);
+        self.plan_pass();
+        if !lockstep.sync(|| self.next_wave(&mut self.write())) {
+            return;
+        }
+        loop {
+            let (done, simulate) = {
+                let st = self.read();
+                (st.done, !st.todo.is_empty())
+            };
+            if done {
+                return;
+            }
+            if simulate {
+                self.simulate_step();
+                if !lockstep.sync(|| self.cursor.store(0, Ordering::Relaxed)) {
+                    return;
+                }
+            }
+            self.compose_step();
+            if !lockstep.sync(|| self.advance(&mut self.write())) {
+                return;
+            }
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, SweepState> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, SweepState> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the next item of the current parallel step, or `None` when the
+    /// step is exhausted or the sweep is cancelled.
+    fn claim(&self, step: usize, len: usize) -> Option<usize> {
+        if self.cancel.is_cancelled() {
+            return None;
+        }
+        let i = self.cursor.fetch_add(step, Ordering::Relaxed);
+        (i < len).then_some(i)
+    }
+
+    /// Concretises and plans patterns in chunks, keeping each valid one's
+    /// admissible cycle lower bound.
+    fn plan_pass(&self) {
+        let total = self.space.len();
+        let mut planned = Vec::new();
+        let mut invalid = 0;
+        while let Some(start) = self.claim(WAVE, total) {
+            for index in start..(start + WAVE).min(total) {
+                let df = concretize_pattern(&self.space.get(index), self.workload, self.cfg);
+                match self.prep.plan(&df) {
+                    Ok(plan) => planned.push((self.prep.lower_bound(&plan, df.inter), index)),
+                    Err(_) => invalid += 1,
+                }
+            }
+        }
+        let mut st = self.write();
+        st.order.extend(planned);
+        st.skipped += invalid;
+    }
+
+    /// Runs the wave's pending phase simulations, one claim at a time.
+    fn simulate_step(&self) {
+        let st = self.read();
+        while let Some(i) = self.claim(1, st.todo.len()) {
+            let id = st.todo[i];
+            let stats = Arc::new(self.prep.simulate(&st.keys[id]));
+            st.stats[id].set(stats).expect("a phase is simulated once per wave");
+        }
+    }
+
+    /// Composes the wave's candidates from its phase results (or, with the
+    /// phase cache off, from direct simulations). Retained reports drop their
+    /// chunk timelines: a poorly-tiled PP candidate's marks run to millions of
+    /// entries.
+    fn compose_step(&self) {
+        let st = self.read();
+        while let Some(i) = self.claim(1, st.cands.len()) {
+            let c = &st.cands[i];
+            let report = if self.opts.phase_cache {
+                let phases = c.phases.iter().map(|&id| {
+                    Arc::clone(st.stats[id].get().expect("simulated before composing"))
+                });
+                self.prep.compose_from(&c.dataflow, &c.plan, false, phases)
+            } else {
+                let phases = c.plan.keys().map(|key| Arc::new(self.prep.simulate(key)));
+                self.prep.compose_from(&c.dataflow, &c.plan, false, phases)
+            };
+            st.reports[i].set(report).expect("a candidate is composed once");
+        }
+    }
+
+    /// Serial step after a wave's compositions: merge its results in index
+    /// order, drop the results too big to memoise, and set up the next wave.
+    fn advance(&self, st: &mut SweepState) {
+        if !self.cancel.is_cancelled() {
+            for (c, report) in st.cands.iter().zip(&mut st.reports) {
+                let report = report.take().expect("every candidate composed");
+                st.evaluated += 1;
+                if self.opts.pareto {
+                    let axes = report_axes(&report);
+                    st.front.offer(c.index, c.dataflow, report, axes);
+                } else {
+                    let score = self.opts.objective.score(&report);
+                    st.top.offer(Entry { score, index: c.index, candidate: c.dataflow, report });
+                }
+            }
+            for &id in &st.todo {
+                if st.stats[id].get().is_some_and(|s| s.chunk_marks.len() > MAX_CACHED_MARKS) {
+                    st.stats[id].take();
+                }
+            }
+        }
+        self.next_wave(st);
+    }
+
+    /// Sets up the next wave: all the seeds first, then candidates from the
+    /// bound-sorted list (sorted on the first call, once the plan pass is
+    /// in). Marks the sweep done when nothing is left or it was cancelled.
+    fn next_wave(&self, st: &mut SweepState) {
+        self.cursor.store(0, Ordering::Relaxed);
+        st.cands.clear();
+        st.todo.clear();
+        st.wave += 1;
+        st.timeline = 0;
+        if !self.cancel.is_cancelled() {
+            // Seeds sit past the space's indices, which keeps tie-breaking
+            // deterministic and marks them as non-enumerated.
+            let total = self.space.len();
+            for (j, dataflow) in std::mem::take(&mut st.seeds).into_iter().enumerate() {
+                if let Ok(plan) = self.prep.plan(&dataflow) {
+                    self.admit(st, total + j, dataflow, plan);
+                }
+            }
+            if st.wave == 1 {
+                st.seeded = st.cands.len();
+                st.order.sort_unstable();
+            }
+            if st.cands.is_empty() {
+                self.admit_patterns(st);
+            }
+        }
+        st.done = st.cands.is_empty();
+        st.cands.sort_unstable_by_key(|c| c.index);
+        let keys = &st.keys;
+        st.todo.sort_by_cached_key(|&id| Reverse(self.prep.phase_bound(&keys[id])));
+        let lookups: usize = st.cands.iter().map(|c| c.phases.len()).sum();
+        st.phase_sims += st.todo.len();
+        st.phase_cache_hits += lookups - st.todo.len();
+        st.reports = st.cands.iter().map(|_| OnceLock::new()).collect();
+    }
+
+    /// Admits up to [`WAVE`] candidates from the sorted list, pruning as it
+    /// goes, and fewer when their unmemoisable timelines would pass
+    /// [`WAVE_TIMELINE`].
+    fn admit_patterns(&self, st: &mut SweepState) {
+        // The merged top-K always holds the seeds, so its K-th best distinct
+        // score bounds what can still rank.
+        let threshold = match st.top.worst_at_capacity() {
+            Some(worst) if self.pruning => worst,
+            _ => f64::INFINITY,
+        };
+        while st.cands.len() < WAVE && st.pos < st.order.len() {
+            let (bound, index) = st.order[st.pos];
+            if bound as f64 > threshold {
+                // Sorted by bound: everything from here on is pruned.
+                st.pruned += st.order.len() - st.pos;
+                st.pos = st.order.len();
+                break;
+            }
+            let dataflow = concretize_pattern(&self.space.get(index), self.workload, self.cfg);
+            let plan = self.prep.plan(&dataflow).expect("planned once already");
+            // Pareto mode: skip a candidate some frontier point strictly beats
+            // on all three admissible bounds.
+            if self.opts.pareto
+                && self.opts.prune
+                && st.front.strictly_dominates(&self.prep.bound_vector(&plan, &dataflow))
+            {
+                st.pos += 1;
+                st.pruned += 1;
+                continue;
+            }
+            if !st.cands.is_empty() && st.timeline + self.new_timeline(st, &plan) > WAVE_TIMELINE {
+                break; // it opens the next wave
+            }
+            st.pos += 1;
+            self.admit(st, index, dataflow, plan);
+        }
+    }
+
+    /// Timeline entries of the results `plan` would add to the wave being set
+    /// up that are too big to memoise (none with the phase cache off).
+    fn new_timeline(&self, st: &SweepState, plan: &EvalPlan) -> u64 {
+        if !self.opts.phase_cache {
+            return 0;
+        }
+        plan.keys()
+            .map(|key| (key, self.prep.timeline_len(key)))
+            .filter(|&(key, len)| {
+                len > MAX_CACHED_MARKS as u64
+                    && st.ids.get(key).is_none_or(|&id| st.queued[id] != st.wave)
+            })
+            .map(|(_, len)| len)
+            .sum()
+    }
+
+    /// Adds a candidate to the wave being set up, giving each phase it needs
+    /// an id: a memoised result, or a place in the wave's simulations.
+    fn admit(&self, st: &mut SweepState, index: usize, dataflow: GnnDataflow, plan: EvalPlan) {
+        let mut phases = Vec::new();
+        if self.opts.phase_cache {
+            st.timeline += self.new_timeline(st, &plan);
+            for key in plan.keys() {
+                let id = *st.ids.entry(*key).or_insert_with(|| {
+                    st.keys.push(*key);
+                    st.stats.push(OnceLock::new());
+                    st.queued.push(0);
+                    st.keys.len() - 1
+                });
+                if st.stats[id].get().is_none() && st.queued[id] != st.wave {
+                    st.queued[id] = st.wave;
+                    st.todo.push(id);
+                }
+                phases.push(id);
+            }
+        }
+        st.cands.push(Candidate { index, dataflow, plan, phases });
+    }
+}
+
+/// A reusable rendezvous for a fixed set of workers: [`Self::sync`] blocks
+/// until all of them arrive, and the last to arrive runs the step's serial
+/// part before releasing the rest. A worker that panics breaks it (see
+/// [`Breaker`]), so its peers return instead of waiting forever.
+struct Lockstep {
+    workers: usize,
+    state: Mutex<Rendezvous>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Rendezvous {
+    arrived: usize,
+    generation: u64,
+    broken: bool,
+}
+
+impl Lockstep {
+    fn new(workers: usize) -> Self {
+        Lockstep { workers: workers.max(1), state: Mutex::default(), cv: Condvar::new() }
+    }
+
+    /// Waits for every worker, running `serial` once all have arrived.
+    /// `false` when a worker panicked: the caller must stop.
+    fn sync(&self, serial: impl FnOnce()) -> bool {
+        let mut st = lock_recover(&self.state);
+        if st.broken {
+            return false;
+        }
+        st.arrived += 1;
+        if st.arrived == self.workers {
+            serial();
+            st.arrived = 0;
+            st.generation += 1;
+            self.cv.notify_all();
+            return true;
+        }
+        let generation = st.generation;
+        while st.generation == generation && !st.broken {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        !st.broken
+    }
+}
+
+/// Held by each [`Lockstep`] worker: unwinding past it breaks the rendezvous.
+struct Breaker<'l>(&'l Lockstep);
+
+impl Drop for Breaker<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock_recover(&self.0.state).broken = true;
+            self.0.cv.notify_all();
+        }
+    }
+}
+
 /// The Pareto axis vector of one evaluated dataflow: total cycles, total
 /// energy (pJ), and the composed on-chip working-set peak (bytes).
 fn report_axes(report: &CostReport) -> [f64; 3] {
     [report.total_cycles as f64, report.energy.total_pj(), report.buffer_peak_bytes as f64]
-}
-
-/// The `k`-th best distinct-dataflow score among pre-evaluated entries — the
-/// sound initial pruning threshold derived from the preset seeds (they are in
-/// the final pool unconditionally, so any candidate that cannot beat `k`
-/// distinct seeds can never be ranked). `INFINITY` with fewer distinct seeds.
-fn kth_distinct_score(seeds: &[Scored], k: usize) -> f64 {
-    let mut sorted: Vec<&Scored> = seeds.iter().collect();
-    sorted.sort_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)));
-    let mut distinct: Vec<&GnnDataflow> = Vec::new();
-    for s in sorted {
-        if distinct.iter().any(|d| **d == s.2) {
-            continue;
-        }
-        distinct.push(&s.2);
-        if distinct.len() == k.max(1) {
-            return s.0;
-        }
-    }
-    f64::INFINITY
 }
 
 /// Sorts by `(score, index)`, deduplicates identical concrete dataflows, and
@@ -1045,7 +1358,7 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Keyed by everything the (deterministic) result depends on: the workload
 /// fingerprint (dimensions and full degree sequence), the accelerator
 /// configuration, and the result-affecting options (`objective`, `top_k`,
-/// `refine_steps`, `seed_presets` — *not* `threads`/`chunk`). Repeated sweeps
+/// `refine_steps`, `seed_presets` — *not* `threads`). Repeated sweeps
 /// over the same workloads hit the cache instead of re-searching.
 ///
 /// Built to sit under a long-running mapper daemon:
@@ -1190,7 +1503,7 @@ impl DseCache {
 
     /// [`Self::explore_traced`] with cooperative cancellation: `None` once
     /// `cancel` fires, whether this request was leading the search (the sweep
-    /// stops within one work-queue chunk, the flight is abandoned, waiters
+    /// stops at its workers' next claim, the flight is abandoned, waiters
     /// retry) or waiting on another leader. A cancelled search inserts nothing
     /// into the cache and never inflates [`Self::searches`];
     /// [`Self::cancelled`] counts the abandonments.
@@ -1550,9 +1863,9 @@ fn fingerprint(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> 
         cfg.knobs.enforce_capacity as u8,
         cfg.knobs.reference_walk as u8,
     ]);
-    // The result-affecting options (threads/chunk do not affect the
-    // deterministic ranked result, so two searches differing only there share
-    // a key; prune/phase_cache keep the ranked list bit-identical but change
+    // The result-affecting options (threads affect neither the ranked result
+    // nor the work counters, so two searches differing only there share a
+    // key; prune/phase_cache keep the ranked list bit-identical but change
     // the recorded work counters, so they key the cached outcome too).
     eat(&[match opts.objective {
         Objective::Runtime => 0u8,
@@ -1615,12 +1928,14 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
         let a = explore(&workload, &cfg, &DseOptions { threads: 1, ..quick_opts() });
-        let b = explore(&workload, &cfg, &DseOptions { threads: 4, chunk: 17, ..quick_opts() });
-        // How *far* pruning gets depends on thread interleaving, but what a
-        // candidate can be pruned *for* does not: evaluated + pruned and the
-        // validation skips are invariant, and so is the ranked output.
-        assert_eq!(a.evaluated + a.pruned, b.evaluated + b.pruned);
-        assert_eq!(a.skipped, b.skipped);
+        let b = explore(&workload, &cfg, &DseOptions { threads: 4, ..quick_opts() });
+        // Waves and their pruning thresholds depend only on the bound-sorted
+        // candidate list, never on which worker finished first: the work
+        // split itself is invariant, and so is the ranked output.
+        let counters = |o: &ExploreOutcome| {
+            (o.evaluated, o.pruned, o.skipped, o.phase_sims, o.phase_cache_hits)
+        };
+        assert_eq!(counters(&a), counters(&b));
         let key = |o: &ExploreOutcome| -> Vec<(String, u64, Option<usize>)> {
             o.ranked
                 .iter()
@@ -1900,6 +2215,63 @@ mod tests {
     }
 
     #[test]
+    fn cancelling_mid_sweep_answers_none_and_caches_nothing() {
+        // A token cancelled from another thread while an rmat-16 sweep runs:
+        // the workers stop at their next claim (a single large-graph phase
+        // simulation is the longest wait), the search answers `None`, and
+        // nothing enters the cache — the serving deadline ladder relies on
+        // all three.
+        let graph = omega_graph::scale_graph("rmat-16", 11).expect("rmat-16 resolves");
+        let workload = GnnWorkload::from_graph(&graph, 16);
+        let cfg = AccelConfig::paper_default();
+        // Unpruned, so the sweep runs for seconds and the cancel surely lands
+        // inside it.
+        let opts = DseOptions { threads: 2, prune: false, ..DseOptions::new(Objective::Runtime) };
+        let cache = DseCache::new();
+        let cancel = CancelToken::new();
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Wait for the search to be in flight and simulating.
+                while lock_recover(&cache.state).inflight.is_empty() {
+                    std::thread::yield_now();
+                }
+                let replays = omega_accel::telemetry::class_replays();
+                while omega_accel::telemetry::class_replays() == replays {
+                    std::thread::yield_now();
+                }
+                cancel.cancel();
+            });
+            cache.explore_traced_cancellable(&workload, &cfg, &opts, &cancel)
+        });
+        assert!(got.is_none(), "a cancelled sweep must not answer");
+        assert_eq!(cache.len(), 0, "a cancelled sweep must not populate the cache");
+        assert_eq!((cache.searches(), cache.cancelled()), (0, 1));
+        // The plain entry point gives the same verdict for the same token.
+        assert!(explore_cancellable(&workload, &cfg, &opts, &cancel).is_none());
+    }
+
+    #[test]
+    fn a_panicking_worker_breaks_the_lockstep_instead_of_wedging_its_peers() {
+        let lockstep = Lockstep::new(3);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let _breaker = Breaker(&lockstep);
+                        while lockstep.sync(|| {}) {}
+                    });
+                }
+                let _breaker = Breaker(&lockstep);
+                assert!(lockstep.sync(|| {}), "a full round completes");
+                panic!("injected worker panic");
+            })
+        }));
+        // The peers returned (the scope joined them) and the panic surfaced.
+        assert!(outcome.is_err());
+        assert!(!lockstep.sync(|| {}), "a broken lockstep stays broken");
+    }
+
+    #[test]
     fn cancelled_cache_search_inserts_nothing_and_counts() {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
@@ -2071,12 +2443,8 @@ mod tests {
         let plain = explore(&workload, &cfg, &quick_opts());
         assert_eq!(out.frontier[0].runtime_cycles, plain.best().unwrap().report.total_cycles);
         assert_eq!(out.ranked.len(), out.frontier.len().min(opts.top_k));
-        // Thread count and chunking do not change the frontier bit for bit.
-        let b = explore(
-            &workload,
-            &cfg,
-            &DseOptions { threads: 4, chunk: 17, pareto: true, ..quick_opts() },
-        );
+        // Thread count does not change the frontier bit for bit.
+        let b = explore(&workload, &cfg, &DseOptions { threads: 4, pareto: true, ..quick_opts() });
         let key = |o: &ExploreOutcome| -> Vec<(String, u64, u64, u64, Option<usize>)> {
             o.frontier
                 .iter()

@@ -20,9 +20,10 @@
 //!   layer's output size and a ladder of PE splits.
 //!
 //! The product is enumerated with O(1) mixed-radix indexing and driven through
-//! the same streaming, thread-deterministic `parallel_search` primitive as
-//! the layer-level engine; uniform Table V preset chains are seeded so the
-//! reported optimum is never worse than any fixed-preset accelerator.
+//! the streaming, thread-deterministic `parallel_search` primitive (the one
+//! [`crate::mapper::best_of`] uses too); uniform Table V preset chains are
+//! seeded so the reported optimum is never worse than any fixed-preset
+//! accelerator.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -354,7 +355,6 @@ fn layer_candidate_list(
         threads: opts.threads,
         top_k: opts.per_layer_k + 4, // headroom for the phase-order filter
         refine_steps: 0,
-        chunk: 64,
         seed_presets: true,
         // The per-layer searches are the model explorer's hot path: the
         // factored/pruned engine is ranked-output-neutral, but the reference
@@ -487,31 +487,15 @@ pub fn explore_model(
     let front: Mutex<ParetoFront<ModelMapping, ChainReport>> = Mutex::new(ParetoFront::new());
     let front_ref = &front;
     let pareto = opts.pareto;
-    let score = |m: &ModelMapping, index: usize, _thr: f64| -> super::Verdict<ChainReport> {
-        match score_mapping(m) {
-            Some((s, r)) => {
-                if pareto {
-                    lock_recover(front_ref).offer(
-                        index,
-                        m.clone(),
-                        r.clone(),
-                        chain_axes(&r),
-                    );
-                }
-                super::Verdict::Score(s, r)
-            }
-            None => super::Verdict::Skip,
+    let score = |m: &ModelMapping, index: usize| -> Option<(f64, ChainReport)> {
+        let (s, r) = score_mapping(m)?;
+        if pareto {
+            lock_recover(front_ref).offer(index, m.clone(), r.clone(), chain_axes(&r));
         }
+        Some((s, r))
     };
-    let job = ParallelJob {
-        k: opts.top_k,
-        threads,
-        chunk: opts.chunk,
-        init_threshold: f64::INFINITY,
-        cancel: None,
-    };
-    let (mut merged, mut evaluated, skipped, _pruned) =
-        parallel_search(total, &gen, &score, &job);
+    let job = ParallelJob { k: opts.top_k, threads, chunk: opts.chunk };
+    let (mut merged, mut evaluated, skipped) = parallel_search(total, &gen, &score, &job);
 
     // Seed the uniform Table V preset chains (one preset for every layer,
     // sequential between layers): the reported optimum can never lose to a

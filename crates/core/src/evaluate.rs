@@ -7,9 +7,10 @@
 //! inter-phase cost model (Table III). The factoring is what the exhaustive
 //! explorer of [`crate::dse`] exploits: for `Sequential` and
 //! `SequentialPipeline` dataflows the two phase simulations are completely
-//! independent of each other, so a [`PhaseSimCache`] keyed by the phase plan
-//! lets a 6,656-candidate sweep simulate each *unique* phase configuration
-//! once and recompose the rest arithmetically.
+//! independent of each other, so a 6,656-candidate sweep can plan every
+//! candidate first, simulate each *unique* phase configuration (`PhaseKey`)
+//! once, and recompose the rest arithmetically. [`PhaseSimCache`] offers the
+//! same memoisation to callers that evaluate one dataflow at a time.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,7 +31,7 @@ use omega_dataflow::{
 
 use crate::cost::{CostReport, EnergyBreakdown, IntermediateCost};
 use crate::dse::lock_recover;
-use crate::pipeline::{pipeline_runtime, resample_durations};
+use crate::pipeline::pipeline_runtime_of_marks;
 use crate::GnnWorkload;
 
 /// Evaluation failure.
@@ -84,7 +85,7 @@ pub fn evaluate(
 /// so every result-affecting knob — tiling, operand classes, bandwidth share,
 /// residency flags, chunk spec — participates in `Eq`/`Hash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PhaseKey {
+pub(crate) enum PhaseKey {
     /// Aggregation: SpMM over the prepared degrees, `width` dense columns.
     Spmm { width: usize, tiling: IntraTiling, classes: OperandClasses, opts: EngineOptions },
     /// Combination: dense GEMM.
@@ -110,7 +111,7 @@ enum PhaseKey {
 
 /// The planned evaluation of one dataflow: every phase simulation plus the
 /// composition facts that do not depend on simulation results.
-struct EvalPlan {
+pub(crate) struct EvalPlan {
     sp_optimized: bool,
     granularity: Option<Granularity>,
     pel: Option<u64>,
@@ -126,15 +127,12 @@ struct EvalPlan {
     post: Option<PhaseKey>,
 }
 
-/// How a DSE-driven evaluation ended (see [`PreparedEval::evaluate_dse`]).
-pub(crate) enum DseEval {
-    /// The dataflow evaluated; the report's phase timelines are intact.
-    Report(Box<CostReport>),
-    /// The admissible cycle lower bound already exceeds the pruning threshold:
-    /// the candidate cannot enter the ranked result, simulation skipped.
-    Pruned,
-    /// The dataflow failed Table II validation.
-    Invalid,
+impl EvalPlan {
+    /// Every phase simulation the plan needs, in composition order (scoring
+    /// prefix, aggregation, combination, elementwise suffix).
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &PhaseKey> {
+        self.sddmm.iter().chain([&self.agg, &self.cmb]).chain(self.post.iter())
+    }
 }
 
 /// A workload's evaluation context, prepared once and shared across many
@@ -181,72 +179,29 @@ impl<'a> PreparedEval<'a> {
         Ok(self.run_plan(dataflow, &plan, Some(cache)))
     }
 
-    /// The DSE hot path: evaluate with an optional shared phase-simulation
-    /// cache and an optional pruning threshold (total-cycle budget — candidates
-    /// whose admissible lower bound exceeds it skip simulation entirely).
-    pub(crate) fn evaluate_dse(
-        &self,
-        dataflow: &GnnDataflow,
-        cache: Option<&PhaseSimCache>,
-        prune_above: Option<f64>,
-    ) -> DseEval {
-        let Ok(plan) = self.plan(dataflow) else { return DseEval::Invalid };
-        if let Some(threshold) = prune_above {
-            if self.lower_bound(&plan, dataflow.inter) as f64 > threshold {
-                return DseEval::Pruned;
-            }
-        }
-        DseEval::Report(Box::new(self.run_plan(dataflow, &plan, cache)))
-    }
-
-    /// The Pareto-mode DSE hot path: plan the dataflow, hand its per-objective
-    /// admissible bound vector (`[cycles, energy pJ, buffer-peak bytes]`) to
-    /// `prune_if`, and simulate only when the caller cannot rule it out. A
-    /// `true` verdict is sound exactly when the caller only prunes vectors
-    /// some known-reachable point strictly beats on **all** axes: the real
-    /// report is component-wise ≥ the bound, so it would be dominated too.
-    pub(crate) fn evaluate_dse_pareto(
-        &self,
-        dataflow: &GnnDataflow,
-        cache: Option<&PhaseSimCache>,
-        prune_if: &dyn Fn([f64; 3]) -> bool,
-    ) -> DseEval {
-        let Ok(plan) = self.plan(dataflow) else { return DseEval::Invalid };
-        if prune_if(self.bound_vector(&plan, dataflow)) {
-            return DseEval::Pruned;
-        }
-        DseEval::Report(Box::new(self.run_plan(dataflow, &plan, cache)))
-    }
-
     /// Simulates every planned phase (through `cache` when given, directly
-    /// otherwise) and composes the totals — the shared tail of all evaluation
-    /// entry points.
+    /// otherwise) and composes the totals.
     fn run_plan(
         &self,
         dataflow: &GnnDataflow,
         plan: &EvalPlan,
         cache: Option<&PhaseSimCache>,
     ) -> CostReport {
-        let (sddmm, agg, cmb, post) = match cache {
-            Some(cache) => (
-                plan.sddmm.as_ref().map(|k| cache.stats(self, k).as_ref().clone()),
-                cache.stats(self, &plan.agg).as_ref().clone(),
-                cache.stats(self, &plan.cmb).as_ref().clone(),
-                plan.post.as_ref().map(|k| cache.stats(self, k).as_ref().clone()),
-            ),
-            None => (
-                plan.sddmm.as_ref().map(|k| self.simulate(k)),
-                self.simulate(&plan.agg),
-                self.simulate(&plan.cmb),
-                plan.post.as_ref().map(|k| self.simulate(k)),
-            ),
-        };
-        self.compose(dataflow, plan, sddmm, agg, cmb, post)
+        match cache {
+            Some(cache) => {
+                let phases = plan.keys().map(|k| cache.stats(self, k));
+                self.compose_from(dataflow, plan, true, phases)
+            }
+            None => {
+                let phases = plan.keys().map(|k| Arc::new(self.simulate(k)));
+                self.compose_from(dataflow, plan, true, phases)
+            }
+        }
     }
 
     /// Plans the two phase simulations of `dataflow` — the per-phase engine
     /// options exactly as the inter-phase cost model prescribes them.
-    fn plan(&self, dataflow: &GnnDataflow) -> Result<EvalPlan, EvalError> {
+    pub(crate) fn plan(&self, dataflow: &GnnDataflow) -> Result<EvalPlan, EvalError> {
         validate(dataflow)?;
         let workload = self.workload;
         let cfg = self.cfg;
@@ -412,7 +367,7 @@ impl<'a> PreparedEval<'a> {
     }
 
     /// Runs one planned phase simulation.
-    fn simulate(&self, key: &PhaseKey) -> PhaseStats {
+    pub(crate) fn simulate(&self, key: &PhaseKey) -> PhaseStats {
         match key {
             PhaseKey::Spmm { width, tiling, classes, opts } => {
                 simulate_spmm_prepared(&self.spmm, *width, tiling, self.cfg, classes, opts)
@@ -434,17 +389,25 @@ impl<'a> PreparedEval<'a> {
         }
     }
 
-    /// Composes the phase results into the inter-phase cost report (Table III;
-    /// an attention workload's SDDMM phase adds sequentially up front).
-    fn compose(
+    /// Composes a planned dataflow from its phase results, given in
+    /// [`EvalPlan::keys`] order, into the inter-phase cost report (Table III;
+    /// an attention workload's SDDMM phase adds sequentially up front) — the
+    /// shared tail of every evaluation entry point, and how the DSE scores a
+    /// candidate once its wave's simulations are done. Without `timelines` the
+    /// report's phases drop their chunk marks (the composition still reads
+    /// them), which keeps a search's retained reports small; re-evaluate a
+    /// winner to recover them.
+    pub(crate) fn compose_from(
         &self,
         dataflow: &GnnDataflow,
         plan: &EvalPlan,
-        sddmm: Option<PhaseStats>,
-        agg: PhaseStats,
-        cmb: PhaseStats,
-        post: Option<PhaseStats>,
+        timelines: bool,
+        mut phases: impl Iterator<Item = Arc<PhaseStats>>,
     ) -> CostReport {
+        let mut next = || phases.next().expect("one result per planned phase");
+        let sddmm = plan.sddmm.as_ref().map(|_| next());
+        let (agg, cmb) = (next(), next());
+        let post = plan.post.as_ref().map(|_| next());
         let workload = self.workload;
         let cfg = self.cfg;
         let (total_cycles, buffering, partition_bytes) = match dataflow.inter {
@@ -463,12 +426,7 @@ impl<'a> PreparedEval<'a> {
                 let pel_elems = plan.pel.expect("validated PP dataflow has a granularity");
                 let producer_is_agg = dataflow.phase_order == PhaseOrder::AC;
                 let (producer, consumer) = if producer_is_agg { (&agg, &cmb) } else { (&cmb, &agg) };
-                let p_dur = producer.chunk_durations();
-                let c_dur = consumer.chunk_durations();
-                let k = p_dur.len().max(1);
-                let c_dur = if c_dur.len() == k { c_dur } else { resample_durations(&c_dur, k) };
-                let p_dur = if p_dur.is_empty() { vec![0] } else { p_dur };
-                let total = pipeline_runtime(&p_dur, &c_dur);
+                let total = pipeline_runtime_of_marks(&producer.chunk_marks, &consumer.chunk_marks);
                 // Ping-pong buffering: 2 × Pel (Table III).
                 let buffering = 2 * pel_elems;
                 (total, buffering, Some((buffering as usize) * cfg.word_bytes))
@@ -528,17 +486,26 @@ impl<'a> PreparedEval<'a> {
             _ => phase_peak(&agg).max(phase_peak(&cmb)),
         };
         let buffer_peak_bytes = matrix_pair
-            .max(sddmm.as_ref().map_or(0, &phase_peak))
-            .max(post.as_ref().map_or(0, &phase_peak))
+            .max(sddmm.as_deref().map_or(0, phase_peak))
+            .max(post.as_deref().map_or(0, phase_peak))
             .saturating_add(buffering.saturating_mul(cfg.word_bytes as u64));
 
+        // The report takes the phase results: moved when this was their only
+        // handle (a direct simulation), copied otherwise.
+        let keep = |s: Arc<PhaseStats>| {
+            if timelines {
+                Arc::unwrap_or_clone(s)
+            } else {
+                s.without_timeline()
+            }
+        };
         CostReport {
             dataflow: *dataflow,
             total_cycles,
-            agg,
-            cmb,
-            sddmm,
-            post,
+            agg: keep(agg),
+            cmb: keep(cmb),
+            sddmm: sddmm.map(keep),
+            post: post.map(keep),
             counters,
             intermediate_buffer_elems: buffering,
             buffer_peak_bytes,
@@ -558,7 +525,7 @@ impl<'a> PreparedEval<'a> {
     /// adjacency traffic, psum spills, tile-synchronization, and fill
     /// overheads only push the true cycle count further up — so pruning on
     /// this bound can never discard a candidate that would have ranked.
-    fn lower_bound(&self, plan: &EvalPlan, inter: InterPhase) -> u64 {
+    pub(crate) fn lower_bound(&self, plan: &EvalPlan, inter: InterPhase) -> u64 {
         let agg = self.phase_bound(&plan.agg);
         let cmb = self.phase_bound(&plan.cmb);
         // The SDDMM prefix always adds sequentially; its bound deliberately
@@ -575,7 +542,32 @@ impl<'a> PreparedEval<'a> {
             }
     }
 
-    fn phase_bound(&self, key: &PhaseKey) -> u64 {
+    /// Entries of the chunk timeline `key`'s simulation records: one mark per
+    /// `Pel` chunk of the side the engine tracks (its `chunk_total` over
+    /// `pel`), none without a chunk spec. Only a `ParallelPipeline` plan's
+    /// matrix phases carry one. Known before simulating, so the DSE can size
+    /// its waves by the results it will have to hold.
+    pub(crate) fn timeline_len(&self, key: &PhaseKey) -> u64 {
+        let v = self.workload.v as u64;
+        let (produced, consumed, chunk) = match key {
+            PhaseKey::Spmm { width, opts, .. } => {
+                let w = *width as u64;
+                (v * w, self.workload.nnz * w, opts.chunk)
+            }
+            PhaseKey::Gemm { dims, opts, .. } => (v * dims.g as u64, v * dims.f as u64, opts.chunk),
+            PhaseKey::Sddmm { .. } | PhaseKey::Elementwise { .. } => return 0,
+        };
+        chunk.map_or(0, |c| {
+            let total = match c.side {
+                ChunkSide::Produce => produced,
+                ChunkSide::Consume => consumed,
+            };
+            total.div_ceil(c.pel.max(1)).max(1)
+        })
+    }
+
+    /// One phase's admissible cycle lower bound (see [`Self::lower_bound`]).
+    pub(crate) fn phase_bound(&self, key: &PhaseKey) -> u64 {
         let Some(fl) = self.phase_floor(key) else { return 0 };
         fl.macs
             .div_ceil(fl.footprint.max(1))
@@ -680,11 +672,10 @@ impl<'a> PreparedEval<'a> {
     /// * Footprint — the Table III intermediate buffering alone, known from
     ///   the plan without simulation; `compose` adds every phase's strictly
     ///   positive staging peak on top of it.
-    fn bound_vector(&self, plan: &EvalPlan, dataflow: &GnnDataflow) -> [f64; 3] {
+    pub(crate) fn bound_vector(&self, plan: &EvalPlan, dataflow: &GnnDataflow) -> [f64; 3] {
         let cycles = self.lower_bound(plan, dataflow.inter) as f64;
-        let phases = [Some(&plan.agg), Some(&plan.cmb), plan.sddmm.as_ref(), plan.post.as_ref()];
         let mut gb_accesses: u64 = 0;
-        for fl in phases.into_iter().flatten().filter_map(|k| self.phase_floor(k)) {
+        for fl in plan.keys().filter_map(|k| self.phase_floor(k)) {
             if fl.classes.a_input != OperandClass::Intermediate {
                 gb_accesses += fl.a_reads;
             }
@@ -742,7 +733,7 @@ pub struct PhaseSimCache {
 
 /// Chunk-timeline length above which a simulation is recomputed per use rather
 /// than cached (a degenerately-tiled PP candidate can mark millions of chunks).
-const MAX_CACHED_MARKS: usize = 1 << 16;
+pub(crate) const MAX_CACHED_MARKS: usize = 1 << 16;
 
 impl PhaseSimCache {
     /// An empty cache.
@@ -777,8 +768,10 @@ impl PhaseSimCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
-        // Simulate outside the lock (sims are long; racing duplicates are
-        // deterministic, so first-write-wins is harmless).
+        // Simulate outside the lock: sims are long, and a racing duplicate is
+        // deterministic, so first-write-wins is harmless. (The exhaustive
+        // sweep does not come through here: it plans first and simulates each
+        // unique key exactly once.)
         self.misses.fetch_add(1, Ordering::Relaxed);
         let stats = Arc::new(prep.simulate(key));
         if stats.chunk_marks.len() > MAX_CACHED_MARKS {
@@ -1224,6 +1217,28 @@ mod tests {
             );
         }
         assert!(cache.hits() > 0, "shared final tilings must share post sims");
+    }
+
+    #[test]
+    fn timeline_len_predicts_the_simulated_chunk_marks() {
+        // The DSE sizes its waves by `timeline_len` before simulating, so it
+        // must match what the engines record, for both phase orders and both
+        // chunk sides.
+        let wl = small_workload();
+        let cfg = AccelConfig::paper_default();
+        let prep = PreparedEval::new(&wl, &cfg);
+        let mut sides = std::collections::HashSet::new();
+        for df in crate::mapper::extended_candidates(&wl, &cfg) {
+            let plan = prep.plan(&df).expect("presets are valid");
+            for key in plan.keys() {
+                let marks = prep.simulate(key).chunk_marks.len() as u64;
+                assert_eq!(prep.timeline_len(key), marks, "{df} {key:?}");
+                if let PhaseKey::Spmm { opts, .. } | PhaseKey::Gemm { opts, .. } = key {
+                    sides.extend(opts.chunk.map(|c| format!("{:?}", c.side)));
+                }
+            }
+        }
+        assert_eq!(sides.len(), 2, "both chunk sides covered: {sides:?}");
     }
 
     #[test]

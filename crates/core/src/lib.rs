@@ -21,7 +21,7 @@
 //! [`AccelConfig`] → [`CostReport`]). [`mapper`] searches candidate sets using
 //! `evaluate` as its cost model (the "future work" optimizer of Section VI),
 //! [`dse`] exhaustively explores the full 6,656-pattern space in parallel
-//! (streamed work queue, top-K reduction, workload-keyed cache), [`models`]
+//! (plan-first, bound-ordered waves, workload-keyed cache), [`models`]
 //! stacks layers into whole GNNs and lowers them onto multiphase chains
 //! ([`models::to_chain`]), [`dse::model`] jointly searches per-layer dataflows
 //! × inter-layer pipelining × PE partitions for those chains, and

@@ -30,7 +30,7 @@ use omega_accel::{AccelConfig, AccessCounters, EnergyModel, OperandClass, PhaseS
 use omega_dataflow::IntraTiling;
 
 use crate::cost::EnergyBreakdown;
-use crate::pipeline::{pipeline_runtime, resample_durations};
+use crate::pipeline::pipeline_runtime_of_marks;
 
 /// One kernel stage of a multiphase chain.
 #[derive(Debug, Clone)]
@@ -534,12 +534,7 @@ pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, C
         if let Some(Link::Pipelined { pel, .. }) = chain.links.get(i) {
             let producer = &node_stats[i][0].1;
             let consumer = &node_stats[i + 1][0].1;
-            let p = producer.chunk_durations();
-            let c = consumer.chunk_durations();
-            let k = p.len().max(1);
-            let c = if c.len() == k { c } else { resample_durations(&c, k) };
-            let p = if p.is_empty() { vec![0] } else { p };
-            total += pipeline_runtime(&p, &c);
+            total += pipeline_runtime_of_marks(&producer.chunk_marks, &consumer.chunk_marks);
             let step = node_peak(&node_stats[i])
                 .saturating_add(node_peak(&node_stats[i + 1]))
                 .saturating_add(2 * pel * cfg.word_bytes as u64);

@@ -57,9 +57,82 @@ pub fn resample_durations(durations: &[u64], k: usize) -> Vec<u64> {
     out
 }
 
+/// The PP composition straight from the two phases' cumulative chunk marks:
+/// [`pipeline_runtime`] over their durations, the consumer resampled to the
+/// producer's chunk count ([`resample_durations`]) when the counts differ, and
+/// an empty producer timeline read as one zero-length chunk. Streams both
+/// sequences instead of materialising them, since a degenerately tiled PP
+/// phase marks millions of chunks.
+pub(crate) fn pipeline_runtime_of_marks(producer: &[u64], consumer: &[u64]) -> u64 {
+    fn durations(marks: &[u64]) -> impl Iterator<Item = u64> + '_ {
+        let mut prev = 0u64;
+        marks.iter().map(move |&m| {
+            let d = m.saturating_sub(prev);
+            prev = m;
+            d
+        })
+    }
+    let k = producer.len().max(1);
+    let p = durations(producer).chain(std::iter::once(0)).take(k);
+    if consumer.len() == k {
+        return pipeline_over(p, durations(consumer));
+    }
+    let total: u64 = durations(consumer).sum();
+    let mark = move |i: usize| (total as u128 * i as u128 / k as u128) as u64;
+    pipeline_over(p, (1..=k).map(move |i| mark(i) - mark(i - 1)))
+}
+
+/// [`pipeline_runtime`] over two equally long duration streams (at least one
+/// chunk each).
+fn pipeline_over(
+    mut producer: impl Iterator<Item = u64>,
+    mut consumer: impl Iterator<Item = u64>,
+) -> u64 {
+    let mut total = producer.next().expect("at least one chunk");
+    for p in producer {
+        total += p.max(consumer.next().expect("equal lengths"));
+    }
+    total + consumer.next().expect("equal lengths")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn marks_composition_matches_the_duration_form() {
+        let durations = |marks: &[u64]| {
+            let mut prev = 0;
+            marks
+                .iter()
+                .map(|&m| {
+                    let d = m.saturating_sub(prev);
+                    prev = m;
+                    d
+                })
+                .collect::<Vec<u64>>()
+        };
+        let reference = |p_marks: &[u64], c_marks: &[u64]| {
+            let p = durations(p_marks);
+            let c = durations(c_marks);
+            let k = p.len().max(1);
+            let c = if c.len() == k { c } else { resample_durations(&c, k) };
+            let p = if p.is_empty() { vec![0] } else { p };
+            pipeline_runtime(&p, &c)
+        };
+        let cases: [(&[u64], &[u64]); 7] = [
+            (&[], &[]),
+            (&[], &[5, 9]),
+            (&[4], &[7]),
+            (&[3, 8, 8, 20], &[5, 6, 30, 31]),
+            (&[3, 8, 8, 20], &[2, 50, 51]),
+            (&[10, 11, 40, 41, 90], &[7, 100]),
+            (&[5, 3, 12], &[0, 0, 0, 0]),
+        ];
+        for (p, c) in cases {
+            assert_eq!(pipeline_runtime_of_marks(p, c), reference(p, c), "{p:?} / {c:?}");
+        }
+    }
 
     #[test]
     fn single_chunk_is_sequential() {

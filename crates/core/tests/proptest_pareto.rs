@@ -109,10 +109,9 @@ proptest! {
     /// 1-, 2-, and 8-thread sweeps produce the same frontier bit for bit, with
     /// and without bound-vector pruning.
     #[test]
-    fn frontier_is_bit_identical_across_threads(chunk_idx in 0usize..4) {
-        let chunk = [1usize, 17, 64, 301][chunk_idx];
+    fn frontier_is_bit_identical_across_threads(hidden_pow in 3usize..6) {
         let cfg = AccelConfig::paper_default();
-        let wl = workload(16);
+        let wl = workload(1 << hidden_pow);
         let base = DseOptions { pareto: true, ..DseOptions::new(Objective::Runtime) };
         let reference = explore(
             &wl,
@@ -121,7 +120,7 @@ proptest! {
         );
         prop_assert!(reference.frontier.len() >= 3);
         for threads in [1usize, 2, 8] {
-            let out = explore(&wl, &cfg, &DseOptions { threads, chunk, ..base });
+            let out = explore(&wl, &cfg, &DseOptions { threads, ..base });
             prop_assert_eq!(frontier_key(&out), frontier_key(&reference), "threads = {}", threads);
         }
     }
