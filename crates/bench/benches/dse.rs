@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use omega_accel::AccelConfig;
-use omega_core::dse::{explore, DseOptions};
-use omega_core::mapper::Objective;
+use omega_core::dse::{explore, sweep_candidates, DseOptions};
+use omega_core::mapper::{rank, Objective};
 use omega_core::GnnWorkload;
 use omega_graph::DatasetSpec;
 
@@ -35,37 +35,37 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The ISSUE 4 headline: phase-factored + pruned vs brute-force reference,
-/// single-threaded, per dataset (the configuration `BENCH_dse.json` records —
-/// regenerate its numbers from this bench's output after engine changes).
+/// The ISSUE 4 headline: the pruned sweep vs the unpruned one and the
+/// `mapper::rank` reference over every sweep candidate, single-threaded, per
+/// dataset (the configuration `BENCH_dse.json` records — regenerate its
+/// numbers from this bench's output after engine changes).
 fn bench_factored_vs_reference(c: &mut Criterion) {
     let cfg = AccelConfig::paper_default();
     for dataset in ["Mutag", "Proteins", "Citeseer"] {
         let wl = workload(dataset);
         let mut group = c.benchmark_group(format!("dse_single_thread/{dataset}"));
-        // The reference arm re-simulates every candidate twice; keep the
-        // sample count low so the slow arm stays tractable.
+        // The reference arm evaluates every candidate; keep the sample count
+        // low so the slow arm stays tractable.
         group.sample_size(3);
-        for (name, prune, phase_cache) in
-            [("factored", true, true), ("reference", false, false)]
-        {
+        for (name, prune) in [("factored", true), ("unpruned", false)] {
             group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
                 b.iter(|| {
                     let out = explore(
                         &wl,
                         &cfg,
-                        &DseOptions {
-                            threads: 1,
-                            prune,
-                            phase_cache,
-                            ..DseOptions::new(Objective::Runtime)
-                        },
+                        &DseOptions { threads: 1, prune, ..DseOptions::new(Objective::Runtime) },
                     );
                     assert_eq!(out.space, 6656);
                     out.best().map(|r| r.report.total_cycles)
                 })
             });
         }
+        group.bench_function("reference", |b| {
+            b.iter(|| {
+                let ranked = rank(&sweep_candidates(&wl, &cfg), &wl, &cfg, Objective::Runtime);
+                ranked.first().map(|r| r.report.total_cycles)
+            })
+        });
         group.finish();
     }
 }
@@ -90,8 +90,8 @@ fn bench_objectives(c: &mut Criterion) {
 }
 
 /// The ISSUE 5 trajectory row: the GAT model-level joint search (three-phase
-/// layers, SDDMM included) through the factored per-layer engine vs the
-/// brute-force reference arm, single-threaded on Cora.
+/// layers, SDDMM included) with pruned vs unpruned per-layer searches,
+/// single-threaded on Cora.
 fn bench_gat_model_search(c: &mut Criterion) {
     use omega_core::dse::model::{explore_model, ModelDseOptions};
     use omega_core::dse::DseCache;
@@ -102,17 +102,12 @@ fn bench_gat_model_search(c: &mut Criterion) {
     let model = GnnModel::gat_2layer(8, 7);
     let mut group = c.benchmark_group("dse_model_gat/Cora");
     group.sample_size(3);
-    for (name, prune, phase_cache) in [("factored", true, true), ("reference", false, false)] {
+    for (name, prune) in [("factored", true), ("unpruned", false)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
             b.iter(|| {
                 // A fresh cache per iteration so the layer searches really run.
                 let cache = DseCache::new();
-                let opts = ModelDseOptions {
-                    threads: 1,
-                    prune,
-                    phase_cache,
-                    ..ModelDseOptions::default()
-                };
+                let opts = ModelDseOptions { threads: 1, prune, ..ModelDseOptions::default() };
                 let out = explore_model(&model, &wl, &cfg, &opts, &cache);
                 out.best().map(|r| r.report.total_cycles)
             })

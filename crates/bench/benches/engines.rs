@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use omega_accel::engine::{simulate_gemm, simulate_spmm, EngineOptions, GemmDims, OperandClasses, SpmmWorkload};
 use omega_accel::AccelConfig;
-use omega_core::mapper::{best_of, preset_candidates, Objective};
+use omega_core::mapper::{preset_candidates, rank, Objective};
 use omega_core::GnnWorkload;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{Dim, IntraTiling, LoopOrder, Phase};
@@ -90,7 +90,7 @@ fn bench_mapper(c: &mut Criterion) {
     let mut g = c.benchmark_group("mapper");
     g.sample_size(10);
     g.bench_function("presets_mutag", |b| {
-        b.iter(|| black_box(best_of(&candidates, &wl, &cfg, Objective::Runtime, 4)))
+        b.iter(|| black_box(rank(&candidates, &wl, &cfg, Objective::Runtime)))
     });
     g.finish();
     // Keep a preset alive so the dependency is exercised end to end.

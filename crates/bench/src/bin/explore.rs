@@ -30,7 +30,7 @@ use omega_core::dse::model::{explore_model, ModelDseOptions, ModelExploreOutcome
 use omega_core::dse::{explore, DseCache, DseOptions, ExploreOutcome};
 use omega_core::mapper::{self, Objective};
 use omega_core::models::GnnModel;
-use omega_core::{GnnWorkload, PhaseSimCache, PreparedEval};
+use omega_core::GnnWorkload;
 use omega_graph::DatasetSpec;
 
 struct Args {
@@ -43,7 +43,6 @@ struct Args {
     top: usize,
     refine: bool,
     prune: bool,
-    phase_cache: bool,
     reference_walk: bool,
     stats: bool,
     hidden: Option<usize>,
@@ -56,10 +55,8 @@ struct Args {
     max_buffer_bytes: Option<u64>,
     seed: u64,
     json: Option<String>,
-    serve: Option<String>,
     remote: Option<String>,
     deadline_ms: Option<u64>,
-    cache_file: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -73,7 +70,6 @@ fn parse_args() -> Result<Args, String> {
         top: 10,
         refine: false,
         prune: true,
-        phase_cache: true,
         reference_walk: false,
         stats: false,
         hidden: None,
@@ -86,10 +82,8 @@ fn parse_args() -> Result<Args, String> {
         max_buffer_bytes: None,
         seed: 0x0E5A_2022,
         json: None,
-        serve: None,
         remote: None,
         deadline_ms: None,
-        cache_file: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -120,7 +114,6 @@ fn parse_args() -> Result<Args, String> {
             "--top" => out.top = value(&mut i)?.parse().map_err(|e| format!("--top: {e}"))?,
             "--refine" => out.refine = true,
             "--no-prune" => out.prune = false,
-            "--no-phase-cache" => out.phase_cache = false,
             "--reference-walk" => out.reference_walk = true,
             "--stats" => out.stats = true,
             "--hidden" => {
@@ -153,13 +146,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => out.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--json" => out.json = Some(value(&mut i)?),
-            "--serve" => out.serve = Some(value(&mut i)?),
             "--remote" => out.remote = Some(value(&mut i)?),
             "--deadline-ms" => {
                 out.deadline_ms =
                     Some(value(&mut i)?.parse().map_err(|e| format!("--deadline-ms: {e}"))?)
             }
-            "--cache-file" => out.cache_file = Some(value(&mut i)?),
             "--help" | "-h" => return Err("usage".into()),
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -201,13 +192,10 @@ fn parse_args() -> Result<Args, String> {
     if out.rf_bytes == Some(0) || out.gb_bytes == Some(0) {
         return Err("--rf-bytes/--gb-bytes must be >= 1".into());
     }
-    if out.cache_file.is_some() && out.serve.is_none() {
-        return Err("--cache-file requires --serve".into());
-    }
-    if out.remote.is_some() && (out.model.is_some() || out.pareto || out.serve.is_some()) {
+    if out.remote.is_some() && (out.model.is_some() || out.pareto) {
         return Err(
             "--remote forwards one layer-level search to a running mapperd; it cannot \
-             combine with --model, --pareto, or --serve"
+             combine with --model or --pareto"
                 .into(),
         );
     }
@@ -215,48 +203,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--deadline-ms requires --remote (deadlines are a serving concept)".into());
     }
     Ok(out)
-}
-
-/// `--serve ADDR`: forward into the `mapperd` daemon loop instead of running
-/// one exploration — the same worker pool, shared decision cache, and
-/// NDJSON protocol, sized by `--threads`/`--top`/`--cache-file`.
-fn serve(addr: &str, args: &Args) -> ExitCode {
-    omega_serve::signal::install();
-    let opts = omega_serve::ServeOptions {
-        addr: addr.to_string(),
-        threads: args.threads,
-        search_threads: args.threads,
-        top_k: args.top,
-        cache_file: args.cache_file.as_ref().map(std::path::PathBuf::from),
-        ..Default::default()
-    };
-    let server = match omega_serve::MapperServer::bind(opts) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("explore --serve: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => println!("explore: serving mapper decisions on {addr}"),
-        Err(e) => {
-            eprintln!("explore --serve: no local address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.run() {
-        Ok(stats) => {
-            println!(
-                "explore: served {} requests — {} searches, {} hits, {} coalesced",
-                stats.requests, stats.searches, stats.hits, stats.coalesced
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("explore --serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `--remote ADDR`: forward the layer-level search to a running `mapperd`
@@ -349,21 +295,15 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: explore [--dataset NAME|rmat-N|chung-lu-N] [--model gcn2|sage2|gin|gat] \
                  [--objective runtime|energy|edp] [--threads N] [--top K] \
-                 [--per-layer-k K] [--refine] [--no-prune] [--no-phase-cache] \
-                 [--reference-walk] \
+                 [--per-layer-k K] [--refine] [--no-prune] [--reference-walk] \
                  [--stats] [--hidden G] [--activation act|norm] [--pes N] \
                  [--bandwidth ELEMS] [--pareto] [--rf-bytes N] [--gb-bytes N] \
                  [--max-buffer-bytes N] [--seed S] [--json PATH|-] \
-                 [--serve HOST:PORT [--cache-file PATH]] \
                  [--remote HOST:PORT [--deadline-ms MS]]"
             );
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(addr) = args.serve.clone() {
-        return serve(&addr, &args);
-    }
 
     // The Table IV registry first; unknown names fall through to the scale
     // family (`rmat-N` / `chung-lu-N`), whose summary-driven sweeps are the
@@ -428,9 +368,7 @@ fn main() -> ExitCode {
         top_k: args.top,
         refine_steps: if args.refine { 16 } else { 0 },
         prune: args.prune,
-        phase_cache: args.phase_cache,
         pareto: args.pareto,
-        ..DseOptions::default()
     };
     let outcome = explore(&workload, &cfg, &opts);
 
@@ -481,26 +419,18 @@ fn main() -> ExitCode {
     }
 
     // The paper-relevant question: how much do Table V's presets leave on the
-    // table versus the true optimum of the space? One prepared workload and
-    // phase cache serve every preset, so presets sharing a phase tiling share
-    // its simulation.
+    // table versus the true optimum of the space? `rank` shares one phase
+    // cache across the presets, so presets sharing a phase tiling share its
+    // simulation.
     if let Some(best) = outcome.best() {
-        let prep = PreparedEval::new(&workload, &cfg);
-        let cache = PhaseSimCache::new();
-        let preset_best = mapper::extended_candidates(&workload, &cfg)
-            .iter()
-            .filter_map(|df| {
-                let r = prep.evaluate_with_cache(df, &cache).ok()?;
-                Some((args.objective.score(&r), df.to_string()))
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0));
-        if let Some((preset_score, preset_name)) = preset_best {
+        let presets = mapper::extended_candidates(&workload, &cfg);
+        if let Some(preset) = mapper::rank(&presets, &workload, &cfg, args.objective).first() {
             println!(
                 "\npreset gap: best preset {} scores {:.4e}; exhaustive optimum {:.4e} ({:.2}% on the table)",
-                preset_name,
-                preset_score,
+                preset.dataflow,
+                preset.score,
                 best.score,
-                100.0 * (preset_score / best.score - 1.0),
+                100.0 * (preset.score / best.score - 1.0),
             );
         }
     }
@@ -539,11 +469,9 @@ fn run_model(model: &GnnModel, workload: &GnnWorkload, cfg: &AccelConfig, args: 
         threads: args.threads,
         top_k: args.top,
         per_layer_k: args.per_layer_k,
-        // The per-layer searches honour the factored-engine flags, so the
-        // reference arm (`--no-prune --no-phase-cache`) stays reachable for
-        // bit-identity checks; the ranked output is identical either way.
+        // The per-layer searches honour `--no-prune`; the ranked output is
+        // identical either way.
         prune: args.prune,
-        phase_cache: args.phase_cache,
         pareto: args.pareto,
         ..ModelDseOptions::default()
     };

@@ -1,11 +1,11 @@
 //! Exhaustive parallel design-space exploration (DSE) over the paper's
 //! 6,656-choice dataflow space (Section III-C).
 //!
-//! The mapper of [`crate::mapper`] answers "which of *these* candidates is
-//! best?"; this module answers the question the paper says mappers and DSE
-//! tools actually need (Section I): **what is the true optimum of the full
-//! enumerated space for this workload?** It does so with a plan-first,
-//! bound-ordered sweep ([`explore`]):
+//! [`crate::mapper::rank`] orders an explicit candidate list; this module
+//! answers the question the paper says mappers and DSE tools actually need
+//! (Section I): **what is the true optimum of the full enumerated space for
+//! this workload?** It does so with a plan-first, bound-ordered sweep
+//! ([`explore`]):
 //!
 //! * **seed** — the Table V presets and their CA companions are evaluated
 //!   first (their hand-tuned tile policies are not always reachable by the
@@ -32,6 +32,8 @@
 //! Which candidates a wave holds and what it simulates depend only on the
 //! sorted list and the merged results, never on which worker finished first,
 //! so the ranked output *and* the work counters are thread-count-invariant.
+//! The sweep's oracle is [`crate::mapper::rank`] over [`sweep_candidates`]:
+//! its first `top_k` entries are the ranked output, bit for bit.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -69,21 +71,14 @@ pub struct DseOptions {
     pub top_k: usize,
     /// Hill-climbing steps per winner in the refinement stage (0 disables it).
     pub refine_steps: usize,
-    /// Also evaluate the Table V presets + CA companions as seeds, so the
-    /// reported optimum is never worse than any preset's hand-tuned tiling.
-    pub seed_presets: bool,
     /// Skip simulating candidates whose admissible cycle lower bound already
     /// exceeds the worst retained top-K score (active under the `Runtime`
     /// objective only; the ranked output is bit-identical either way —
-    /// disable to exercise the brute-force reference path). The sweep visits
+    /// disable to simulate every valid candidate). The sweep visits
     /// candidates in ascending bound order, so it stops at the first one over
     /// the threshold and counts the rest as pruned; the threshold tightens
     /// once per wave, so what is pruned does not depend on `threads`.
     pub prune: bool,
-    /// Memoise phase simulations across candidates, so `Sequential`/`SP`
-    /// sweeps pay for each *unique* phase configuration once (bit-identical
-    /// results; disable to exercise the uncached reference path).
-    pub phase_cache: bool,
     /// Maintain the full (runtime, energy, buffer-footprint) Pareto frontier
     /// in the same one-pass sweep instead of a single-objective top-K. The
     /// [`ExploreOutcome::frontier`] is filled (deterministically), pruning
@@ -100,9 +95,7 @@ impl Default for DseOptions {
             threads: 4,
             top_k: 10,
             refine_steps: 0,
-            seed_presets: true,
             prune: true,
-            phase_cache: true,
             pareto: false,
         }
     }
@@ -170,12 +163,10 @@ pub struct ExploreOutcome {
     pub pruned: usize,
     /// Phase simulations the sweep ran: each unique phase configuration once
     /// (an oversized-timeline one once per wave that needs it, since it is not
-    /// memoised); 0 when [`DseOptions::phase_cache`] is off (direct
-    /// simulations are not counted).
+    /// memoised).
     pub phase_sims: usize,
     /// Phase results the candidates' compositions took from an earlier
-    /// simulation instead of their own: lookups minus `phase_sims` (0 when
-    /// [`DseOptions::phase_cache`] is off).
+    /// simulation instead of their own: lookups minus `phase_sims`.
     pub phase_cache_hits: usize,
     /// Preset seeds evaluated.
     pub seeded: usize,
@@ -237,13 +228,29 @@ pub fn concretize_pattern(
     }
 }
 
+/// Every pattern of the space concretised ([`concretize_pattern`]) in
+/// enumeration order, then the preset seeds
+/// ([`crate::mapper::extended_candidates`]): the candidates [`explore`]
+/// sweeps, each at its tie-break index (pattern `i` at `i`, seed `j` at
+/// `space + j`). [`crate::mapper::rank`] over this list is the sweep's
+/// oracle: its first `top_k` entries are [`explore`]'s ranked output, and an
+/// entry at a position below the space size has that position as its
+/// `pattern_index`.
+pub fn sweep_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<GnnDataflow> {
+    let space = PatternSpace::new();
+    let mut out: Vec<GnnDataflow> =
+        (0..space.len()).map(|i| concretize_pattern(&space.get(i), workload, cfg)).collect();
+    out.extend(crate::mapper::extended_candidates(workload, cfg));
+    out
+}
+
 /// Locks `m`, adopting the guard even when a previous holder panicked. Every
 /// structure guarded this way (the Pareto frontiers, the phase-sim cache, the
-/// [`DseCache`] state) stays structurally valid across any panic point, so the
-/// poison flag only records that *some* request died — and a long-running
-/// mapper process must keep serving after one request panics, not wedge on
-/// `PoisonError` forever.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// [`DseCache`] state, the serving daemon's queues) stays structurally valid
+/// across any panic point, so the poison flag only records that *some*
+/// request died — and a long-running mapper process must keep serving after
+/// one request panics, not wedge on `PoisonError` forever.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -413,9 +420,6 @@ impl CancelToken {
     }
 }
 
-/// A scored candidate: `(score, tie-break index, dataflow, report)`.
-pub(crate) type Scored = (f64, usize, GnnDataflow, CostReport);
-
 /// A generic scored candidate: `(score, tie-break index, candidate, report)`.
 pub(crate) type ScoredEntry<C, R> = (f64, usize, C, R);
 
@@ -424,47 +428,42 @@ pub(crate) type ScoredEntry<C, R> = (f64, usize, C, R);
 /// invalid.
 pub(crate) type Scorer<'f, C, R> = dyn Fn(&C, usize) -> Option<(f64, R)> + Sync + 'f;
 
-/// Shape of a streaming parallel candidate search.
-pub(crate) struct ParallelJob {
-    /// Winners to keep per worker (and overall).
-    pub k: usize,
-    pub threads: usize,
-    /// Candidates per work-queue claim.
-    pub chunk: usize,
-}
+/// Candidates per work-queue claim of [`parallel_search`].
+const CHUNK: usize = 16;
 
-/// Evaluates `count` candidates produced on demand by `gen` across scoped
-/// workers pulling chunked ranges from an atomic cursor, scoring each with
-/// `score` (invalid ones count as skipped). Returns the merged (unsorted)
-/// per-worker top-K lists plus `(evaluated, skipped)` counts. Ties break by
-/// index, so the merged winners do not depend on the thread count.
+/// Evaluates `count` candidates produced on demand by `gen` across `threads`
+/// scoped workers pulling chunked ranges from an atomic cursor, scoring each
+/// with `score` (invalid ones count as skipped) and keeping `k` winners per
+/// worker. Returns the merged (unsorted) per-worker top-K lists plus
+/// `(evaluated, skipped)` counts. Ties break by index, so the merged winners
+/// do not depend on the thread count.
 ///
-/// The search primitive of [`crate::mapper::best_of`] (an explicit dataflow
-/// list) and [`model::explore_model`] (whole-model mappings); the layer sweep
-/// of [`explore`] runs its own plan-first sweep.
+/// The search primitive of [`model::explore_model`] (whole-model mappings);
+/// the layer sweep of [`explore`] runs its own plan-first sweep, and
+/// [`crate::mapper::rank`] ranks an explicit dataflow list serially.
 pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
     count: usize,
     gen: &(dyn Fn(usize) -> C + Sync),
     score: &Scorer<'_, C, R>,
-    job: &ParallelJob,
+    k: usize,
+    threads: usize,
 ) -> (Vec<ScoredEntry<C, R>>, usize, usize) {
     if count == 0 {
         return (Vec::new(), 0, 0);
     }
-    let threads = job.threads.max(1).min(count);
+    let threads = threads.max(1).min(count);
     let cursor = AtomicUsize::new(0);
     let cursor = &cursor;
     let run_worker = || -> (TopK<C, R>, usize, usize) {
-        let chunk = job.chunk.max(1);
-        let mut top = TopK::new(job.k);
+        let mut top = TopK::new(k);
         let mut evaluated = 0usize;
         let mut skipped = 0usize;
         loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
             if start >= count {
                 break;
             }
-            for index in start..(start + chunk).min(count) {
+            for index in start..(start + CHUNK).min(count) {
                 let candidate = gen(index);
                 match score(&candidate, index) {
                     Some((score, report)) => {
@@ -494,39 +493,6 @@ pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
     (merged, evaluated, skipped)
 }
 
-/// Shared parameters of a parallel *dataflow* candidate search.
-pub(crate) struct SearchJob<'a> {
-    pub workload: &'a GnnWorkload,
-    pub cfg: &'a AccelConfig,
-    pub objective: Objective,
-    /// Winners to keep per worker (and overall).
-    pub k: usize,
-    pub threads: usize,
-    /// Candidates per work-queue claim.
-    pub chunk: usize,
-}
-
-/// [`parallel_search`] specialised to dataflow candidates scored by
-/// [`crate::evaluate`] — the primitive behind [`crate::mapper::best_of`]
-/// (over an explicit candidate slice).
-pub(crate) fn parallel_top_k(
-    count: usize,
-    gen: &(dyn Fn(usize) -> GnnDataflow + Sync),
-    job: &SearchJob<'_>,
-) -> (Vec<Scored>, usize, usize) {
-    let pjob = ParallelJob { k: job.k, threads: job.threads, chunk: job.chunk };
-    let prep = PreparedEval::new(job.workload, job.cfg);
-    // Winners are retained without their chunk timelines: a poorly-tiled PP
-    // candidate's marks run to millions of entries.
-    let score = |dataflow: &GnnDataflow, _index: usize| -> Option<(f64, CostReport)> {
-        let plan = prep.plan(dataflow).ok()?;
-        let phases = plan.keys().map(|k| Arc::new(prep.simulate(k)));
-        let report = prep.compose_from(dataflow, &plan, false, phases);
-        Some((job.objective.score(&report), report))
-    };
-    parallel_search(count, gen, &score, &pjob)
-}
-
 /// Exhaustively searches the full 6,656-pattern space for `workload` on `cfg`.
 ///
 /// Plan-first and bound-ordered (see the [module docs](self)): the preset
@@ -539,9 +505,8 @@ pub(crate) fn parallel_top_k(
 /// Deterministic: the ranked result — and every work counter (`evaluated`,
 /// `pruned`, `skipped`, `phase_sims`, `phase_cache_hits`) — is independent of
 /// `threads` (ties broken by enumeration index), because wave boundaries and
-/// thresholds depend only on the sorted list. [`DseOptions::prune`] and
-/// [`DseOptions::phase_cache`] only change the work performed, never the
-/// ranked output.
+/// thresholds depend only on the sorted list. [`DseOptions::prune`] only
+/// changes the work performed, never the ranked output.
 ///
 /// ```
 /// use omega_core::dse::{explore, DseOptions};
@@ -586,11 +551,7 @@ pub fn explore_cancellable(
     let total = space.len();
     let threads = opts.threads.max(1);
     let prep = PreparedEval::new(workload, cfg);
-    let seeds = if opts.seed_presets {
-        crate::mapper::extended_candidates(workload, cfg)
-    } else {
-        Vec::new()
-    };
+    let seeds = crate::mapper::extended_candidates(workload, cfg);
     let sweep = Sweep::new(&prep, &space, workload, cfg, opts, cancel, seeds);
     let lockstep = Lockstep::new(threads);
     std::thread::scope(|s| {
@@ -637,7 +598,7 @@ pub fn explore_cancellable(
             .collect()
     } else {
         let pool = st.top.entries.into_iter().map(|e| (e.score, e.index, e.candidate, e.report));
-        rank(pool.collect(), opts.top_k, total)
+        rank_pool(pool.collect(), opts.top_k, total)
     };
 
     // Refinement: hill-climb tile sizes around each surviving winner and
@@ -660,7 +621,7 @@ pub fn explore_cancellable(
             }
         }
         evaluated += refine_evals;
-        rank(pool, opts.top_k, total)
+        rank_pool(pool, opts.top_k, total)
     } else {
         ranked
     };
@@ -722,8 +683,7 @@ struct Candidate {
     index: usize,
     dataflow: GnnDataflow,
     plan: EvalPlan,
-    /// Phase ids of the plan's keys, in [`EvalPlan::keys`] order (empty with
-    /// the phase cache off).
+    /// Phase ids of the plan's keys, in [`EvalPlan::keys`] order.
     phases: Vec<usize>,
 }
 
@@ -892,23 +852,17 @@ impl<'s, 'a> Sweep<'s, 'a> {
         }
     }
 
-    /// Composes the wave's candidates from its phase results (or, with the
-    /// phase cache off, from direct simulations). Retained reports drop their
-    /// chunk timelines: a poorly-tiled PP candidate's marks run to millions of
-    /// entries.
+    /// Composes the wave's candidates from its phase results. Retained
+    /// reports drop their chunk timelines: a poorly-tiled PP candidate's
+    /// marks run to millions of entries.
     fn compose_step(&self) {
         let st = self.read();
         while let Some(i) = self.claim(1, st.cands.len()) {
             let c = &st.cands[i];
-            let report = if self.opts.phase_cache {
-                let phases = c.phases.iter().map(|&id| {
-                    Arc::clone(st.stats[id].get().expect("simulated before composing"))
-                });
-                self.prep.compose_from(&c.dataflow, &c.plan, false, phases)
-            } else {
-                let phases = c.plan.keys().map(|key| Arc::new(self.prep.simulate(key)));
-                self.prep.compose_from(&c.dataflow, &c.plan, false, phases)
-            };
+            let phases = c.phases.iter().map(|&id| {
+                Arc::clone(st.stats[id].get().expect("simulated before composing"))
+            });
+            let report = self.prep.compose_from(&c.dataflow, &c.plan, false, phases);
             st.reports[i].set(report).expect("a candidate is composed once");
         }
     }
@@ -1012,11 +966,8 @@ impl<'s, 'a> Sweep<'s, 'a> {
     }
 
     /// Timeline entries of the results `plan` would add to the wave being set
-    /// up that are too big to memoise (none with the phase cache off).
+    /// up that are too big to memoise.
     fn new_timeline(&self, st: &SweepState, plan: &EvalPlan) -> u64 {
-        if !self.opts.phase_cache {
-            return 0;
-        }
         plan.keys()
             .map(|key| (key, self.prep.timeline_len(key)))
             .filter(|&(key, len)| {
@@ -1030,22 +981,20 @@ impl<'s, 'a> Sweep<'s, 'a> {
     /// Adds a candidate to the wave being set up, giving each phase it needs
     /// an id: a memoised result, or a place in the wave's simulations.
     fn admit(&self, st: &mut SweepState, index: usize, dataflow: GnnDataflow, plan: EvalPlan) {
+        st.timeline += self.new_timeline(st, &plan);
         let mut phases = Vec::new();
-        if self.opts.phase_cache {
-            st.timeline += self.new_timeline(st, &plan);
-            for key in plan.keys() {
-                let id = *st.ids.entry(*key).or_insert_with(|| {
-                    st.keys.push(*key);
-                    st.stats.push(OnceLock::new());
-                    st.queued.push(0);
-                    st.keys.len() - 1
-                });
-                if st.stats[id].get().is_none() && st.queued[id] != st.wave {
-                    st.queued[id] = st.wave;
-                    st.todo.push(id);
-                }
-                phases.push(id);
+        for key in plan.keys() {
+            let id = *st.ids.entry(*key).or_insert_with(|| {
+                st.keys.push(*key);
+                st.stats.push(OnceLock::new());
+                st.queued.push(0);
+                st.keys.len() - 1
+            });
+            if st.stats[id].get().is_none() && st.queued[id] != st.wave {
+                st.queued[id] = st.wave;
+                st.todo.push(id);
             }
+            phases.push(id);
         }
         st.cands.push(Candidate { index, dataflow, plan, phases });
     }
@@ -1116,7 +1065,7 @@ fn report_axes(report: &CostReport) -> [f64; 3] {
 
 /// Sorts by `(score, index)`, deduplicates identical concrete dataflows, and
 /// keeps the best `k`.
-fn rank(
+fn rank_pool(
     mut pool: Vec<(f64, usize, GnnDataflow, CostReport)>,
     k: usize,
     space: usize,
@@ -1149,7 +1098,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// Version tag of the persisted cache file; bump on any change to the entry
 /// layout so stale files are rejected instead of misread.
 /// v2: `ExploreOutcome` gained `class_replays`.
-pub const CACHE_FILE_VERSION: u32 = 2;
+/// v3: the option fingerprint lost its `seed_presets` and `phase_cache`
+/// bytes, so v2 keys no longer match.
+pub const CACHE_FILE_VERSION: u32 = 3;
 
 /// Shape summary of a cached workload, persisted next to each outcome so a
 /// serving process can warm-start an unseen shape from its nearest cached
@@ -1358,7 +1309,7 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Keyed by everything the (deterministic) result depends on: the workload
 /// fingerprint (dimensions and full degree sequence), the accelerator
 /// configuration, and the result-affecting options (`objective`, `top_k`,
-/// `refine_steps`, `seed_presets` — *not* `threads`). Repeated sweeps
+/// `refine_steps`, `prune`, `pareto` — *not* `threads`). Repeated sweeps
 /// over the same workloads hit the cache instead of re-searching.
 ///
 /// Built to sit under a long-running mapper daemon:
@@ -1865,8 +1816,8 @@ fn fingerprint(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> 
     ]);
     // The result-affecting options (threads affect neither the ranked result
     // nor the work counters, so two searches differing only there share a
-    // key; prune/phase_cache keep the ranked list bit-identical but change
-    // the recorded work counters, so they key the cached outcome too).
+    // key; prune keeps the ranked list bit-identical but changes the
+    // recorded work counters, so it keys the cached outcome too).
     eat(&[match opts.objective {
         Objective::Runtime => 0u8,
         Objective::Energy => 1,
@@ -1875,9 +1826,7 @@ fn fingerprint(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> 
     for x in [
         opts.top_k as u64,
         opts.refine_steps as u64,
-        opts.seed_presets as u64,
         opts.prune as u64,
-        opts.phase_cache as u64,
         opts.pareto as u64,
     ] {
         eat(&x.to_le_bytes());
@@ -1950,28 +1899,28 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
         let fast = explore(&workload, &cfg, &quick_opts());
-        let reference = explore(
-            &workload,
-            &cfg,
-            &DseOptions { prune: false, phase_cache: false, ..quick_opts() },
-        );
-        // The reference path really is brute force…
-        assert_eq!(reference.pruned, 0);
-        assert_eq!(reference.phase_cache_hits, 0);
-        assert_eq!(reference.phase_sims, 0);
-        // …and the optimised path reproduces its ranked output bit for bit,
-        // with consistent accounting.
-        assert_eq!(fast.evaluated + fast.pruned, reference.evaluated);
-        assert_eq!(fast.skipped, reference.skipped);
-        let key = |o: &ExploreOutcome| -> Vec<(String, u64, u64, Option<usize>)> {
-            o.ranked
-                .iter()
-                .map(|r| {
-                    (r.dataflow.to_string(), r.score.to_bits(), r.report.total_cycles, r.pattern_index)
-                })
-                .collect()
+        // The oracle: every candidate of the sweep evaluated cold and ranked.
+        let candidates = sweep_candidates(&workload, &cfg);
+        let reference = crate::mapper::rank(&candidates, &workload, &cfg, Objective::Runtime);
+        let position = |df: &GnnDataflow| candidates.iter().position(|c| c == df).unwrap();
+        let key = |r: &RankedDataflow, index: Option<usize>| {
+            (r.dataflow.to_string(), r.score.to_bits(), r.report.total_cycles, index)
         };
-        assert_eq!(key(&fast), key(&reference));
+        let expected: Vec<_> = reference
+            .iter()
+            .take(fast.ranked.len())
+            .map(|r| key(r, Some(position(&r.dataflow)).filter(|&i| i < fast.space)))
+            .collect();
+        let got: Vec<_> = fast.ranked.iter().map(|r| key(r, r.pattern_index)).collect();
+        assert_eq!(fast.ranked.len(), quick_opts().top_k);
+        assert_eq!(got, expected);
+        // Pruning only changes the work: an unpruned sweep evaluates what the
+        // pruned one evaluated or pruned.
+        let unpruned = explore(&workload, &cfg, &DseOptions { prune: false, ..quick_opts() });
+        assert_eq!(unpruned.pruned, 0);
+        assert_eq!(fast.evaluated + fast.pruned, unpruned.evaluated);
+        assert_eq!(fast.skipped, unpruned.skipped);
+        assert_eq!(fast.seeded, unpruned.seeded);
     }
 
     #[test]
@@ -1994,7 +1943,7 @@ mod tests {
             (f64::NAN, 0usize, df, report.clone()),
             (1.0, 1, df, report.clone()),
         ];
-        let ranked = rank(pool, 2, 10);
+        let ranked = rank_pool(pool, 2, 10);
         assert_eq!(ranked[0].score, 1.0); // no panic, finite first
     }
 

@@ -20,10 +20,9 @@
 //!   layer's output size and a ladder of PE splits.
 //!
 //! The product is enumerated with O(1) mixed-radix indexing and driven through
-//! the streaming, thread-deterministic `parallel_search` primitive (the one
-//! [`crate::mapper::best_of`] uses too); uniform Table V preset chains are
-//! seeded so the reported optimum is never worse than any fixed-preset
-//! accelerator.
+//! the streaming, thread-deterministic `parallel_search` primitive; uniform
+//! Table V preset chains are seeded so the reported optimum is never worse
+//! than any fixed-preset accelerator.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -34,7 +33,7 @@ use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::GnnDataflow;
 
-use super::{lock_recover, parallel_search, DseCache, DseOptions, ParallelJob, ParetoFront};
+use super::{lock_recover, parallel_search, DseCache, DseOptions, ParetoFront};
 use crate::mapper::Objective;
 use crate::models::{to_chain, uniform_layer_dataflows, GnnModel, ModelError};
 use crate::multiphase::{evaluate_chain, ChainReport, Link, PartitionSplit};
@@ -55,15 +54,9 @@ pub struct ModelDseOptions {
     pub pel_rungs: usize,
     /// Producer-side PE fractions tried for partitioned inter-layer links.
     pub split_fractions: Vec<f64>,
-    /// Mappings per work-queue claim.
-    pub chunk: usize,
     /// Lower-bound pruning in the per-layer exhaustive searches
-    /// ([`DseOptions::prune`]; ranked-output-neutral — disable to exercise the
-    /// brute-force reference arm).
+    /// ([`DseOptions::prune`]; ranked-output-neutral).
     pub prune: bool,
-    /// Phase-simulation memoisation in the per-layer searches
-    /// ([`DseOptions::phase_cache`]; ranked-output-neutral).
-    pub phase_cache: bool,
     /// Also maintain the (runtime, energy, buffer-footprint) Pareto frontier
     /// over the joint space. The per-layer searches run in Pareto mode too —
     /// their frontiers feed footprint-diverse layer candidates into the joint
@@ -81,9 +74,7 @@ impl Default for ModelDseOptions {
             per_layer_k: 4,
             pel_rungs: 3,
             split_fractions: vec![0.25, 0.5, 0.75],
-            chunk: 16,
             prune: true,
-            phase_cache: true,
             pareto: false,
         }
     }
@@ -355,12 +346,9 @@ fn layer_candidate_list(
         threads: opts.threads,
         top_k: opts.per_layer_k + 4, // headroom for the phase-order filter
         refine_steps: 0,
-        seed_presets: true,
-        // The per-layer searches are the model explorer's hot path: the
-        // factored/pruned engine is ranked-output-neutral, but the reference
-        // arm stays reachable for the bit-identity acceptance tests.
+        // Pruning is ranked-output-neutral; turning it off gives the
+        // unpruned arm the bit-identity tests compare against.
         prune: opts.prune,
-        phase_cache: opts.phase_cache,
         // Pareto model search draws layer candidates from the layer frontier
         // (ranked = frontier in runtime order there), so footprint-diverse
         // dataflows enter the joint space.
@@ -454,7 +442,7 @@ pub fn evaluate_mapping(
 /// Jointly explores per-layer dataflows × inter-layer links × PE partitions
 /// for `model` on `base`.
 ///
-/// Deterministic: the ranked result is independent of `threads` and `chunk`
+/// Deterministic: the ranked result is independent of `threads`
 /// (ties broken by enumeration index). Layer-level searches go through
 /// `cache`, so repeated model studies over the same layer shapes never
 /// re-search the 6,656-pattern space.
@@ -494,8 +482,8 @@ pub fn explore_model(
         }
         Some((s, r))
     };
-    let job = ParallelJob { k: opts.top_k, threads, chunk: opts.chunk };
-    let (mut merged, mut evaluated, skipped) = parallel_search(total, &gen, &score, &job);
+    let (mut merged, mut evaluated, skipped) =
+        parallel_search(total, &gen, &score, opts.top_k, threads);
 
     // Seed the uniform Table V preset chains (one preset for every layer,
     // sequential between layers): the reported optimum can never lose to a

@@ -831,15 +831,6 @@ fn chunk_pel(side: ChunkSide, pel_elems: u64, wl: &GnnWorkload, agg_width: usize
     }
 }
 
-/// Convenience: evaluate several dataflows, returning them with their reports.
-pub fn evaluate_many<'a>(
-    workload: &GnnWorkload,
-    dataflows: impl IntoIterator<Item = &'a GnnDataflow>,
-    cfg: &AccelConfig,
-) -> Vec<Result<CostReport, EvalError>> {
-    dataflows.into_iter().map(|df| evaluate(workload, df, cfg)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1239,19 +1230,5 @@ mod tests {
             }
         }
         assert_eq!(sides.len(), 2, "both chunk sides covered: {sides:?}");
-    }
-
-    #[test]
-    fn evaluate_many_collects() {
-        let wl = small_workload();
-        let cfg = AccelConfig::paper_default();
-        let ctx = wl.tile_context(PhaseOrder::AC);
-        let dfs: Vec<GnnDataflow> = ["Seq1", "SP1"]
-            .iter()
-            .map(|n| Preset::by_name(n).unwrap().concretize(&ctx, 512, 512))
-            .collect();
-        let results = evaluate_many(&wl, dfs.iter(), &cfg);
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.is_ok()));
     }
 }

@@ -57,7 +57,7 @@ mod pipeline;
 mod workload;
 
 pub use cost::{CostReport, EnergyBreakdown, IntermediateCost};
-pub use evaluate::{evaluate, evaluate_many, EvalError, PhaseSimCache, PreparedEval};
+pub use evaluate::{evaluate, EvalError, PhaseSimCache, PreparedEval};
 pub use pipeline::{pipeline_runtime, resample_durations};
 pub use workload::{AttentionSpec, GnnWorkload, PhaseKind, DEFAULT_HIDDEN};
 

@@ -3,8 +3,10 @@
 //! The paper positions OMEGA as the cost model a future mapper would search
 //! with; this module is that mapper: candidate generation (Table V presets, or
 //! deterministic samples of the full 6,656-pattern space concretised by the
-//! tile chooser) plus parallel best-of search under a runtime / energy / EDP
-//! objective.
+//! tile chooser) plus [`rank`], which orders an explicit candidate list under
+//! a runtime / energy / EDP objective.
+
+use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +15,8 @@ use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{GnnDataflow, InterPhase, IntraTiling, Phase};
 
-use crate::{evaluate, CostReport, GnnWorkload};
+use crate::dse::{key_cmp, RankedDataflow};
+use crate::{evaluate, CostReport, GnnWorkload, PhaseSimCache, PreparedEval};
 
 /// What the mapper minimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize, Serialize)]
@@ -48,7 +51,8 @@ impl Objective {
     }
 }
 
-/// A search winner: the dataflow and its evaluation.
+/// A tile-refinement result ([`refine_tiles`]): the dataflow and its
+/// evaluation.
 #[derive(Debug, Clone)]
 pub struct SearchResult {
     /// Winning dataflow.
@@ -120,44 +124,36 @@ pub fn sampled_candidates(
     out
 }
 
-/// Evaluates all candidates in parallel (crossbeam scoped threads, shared with
-/// the exhaustive engine of [`crate::dse`]) and returns the best under
-/// `objective`. Candidates that fail validation are skipped and counted in
-/// [`SearchResult::skipped`]; [`SearchResult::evaluated`] counts the successful
-/// `evaluate` calls, so `evaluated + skipped == candidates.len()`.
+/// Ranks an explicit candidate list under `objective`, best first.
 ///
-/// The winner's report carries no per-chunk pipeline timeline (`chunk_marks`);
-/// re-run [`evaluate`] on the winning dataflow if you need it.
-pub fn best_of(
+/// One [`PreparedEval`] and one [`PhaseSimCache`] serve the whole list, so
+/// candidates sharing a phase configuration share its simulation. Invalid
+/// candidates are dropped, and so is every repeat of a dataflow after its
+/// first position. Ties break by list position, which over
+/// [`crate::dse::sweep_candidates`] is [`crate::dse::explore`]'s tie-break
+/// index. Each report is bit-identical to [`evaluate`]'s; `pattern_index` is
+/// always `None`.
+pub fn rank(
     candidates: &[GnnDataflow],
     workload: &GnnWorkload,
     cfg: &AccelConfig,
     objective: Objective,
-    threads: usize,
-) -> Option<SearchResult> {
-    if candidates.is_empty() {
-        return None;
-    }
-    let gen = |i: usize| candidates[i];
-    let job = crate::dse::SearchJob {
-        workload,
-        cfg,
-        objective,
-        k: 1,
-        threads,
-        chunk: candidates.len().div_ceil(threads.max(1)),
-    };
-    let (merged, evaluated, skipped) = crate::dse::parallel_top_k(candidates.len(), &gen, &job);
-    merged
-        .into_iter()
-        .min_by(|a, b| crate::dse::key_cmp((a.0, a.1), (b.0, b.1)))
-        .map(|(score, _, dataflow, report)| SearchResult {
-            dataflow,
-            report,
-            score,
-            evaluated,
-            skipped,
+) -> Vec<RankedDataflow> {
+    let prep = PreparedEval::new(workload, cfg);
+    let cache = PhaseSimCache::new();
+    let mut seen = HashSet::new();
+    let mut ranked: Vec<(usize, RankedDataflow)> = candidates
+        .iter()
+        .enumerate()
+        .filter(|&(_, df)| seen.insert(*df))
+        .filter_map(|(position, df)| {
+            let report = prep.evaluate_with_cache(df, &cache).ok()?;
+            let score = objective.score(&report);
+            Some((position, RankedDataflow { dataflow: *df, report, score, pattern_index: None }))
         })
+        .collect();
+    ranked.sort_by(|(i, a), (j, b)| key_cmp((a.score, *i), (b.score, *j)));
+    ranked.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The Table V presets *plus* their CA-order companions (including AWB-GCN's
@@ -176,19 +172,6 @@ pub fn extended_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<Gnn
         out.push(p.concretize(&ctx, a, c));
     }
     out
-}
-
-/// One-call search: presets plus `extra_samples` sampled patterns.
-pub fn search(
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-    objective: Objective,
-    extra_samples: usize,
-    threads: usize,
-) -> Option<SearchResult> {
-    let mut candidates = extended_candidates(workload, cfg);
-    candidates.extend(sampled_candidates(workload, cfg, extra_samples, 0));
-    best_of(&candidates, workload, cfg, objective, threads)
 }
 
 #[cfg(test)]
@@ -234,41 +217,78 @@ mod tests {
     }
 
     #[test]
-    fn best_of_minimises_objective() {
+    fn rank_matches_cold_evaluate_sorted_by_score_then_position() {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
-        let candidates = preset_candidates(&workload, &cfg);
-        let best = best_of(&candidates, &workload, &cfg, Objective::Runtime, 4).unwrap();
-        assert_eq!(best.evaluated, 9);
-        assert_eq!(best.skipped, 0);
-        // The winner is no slower than every candidate.
-        for df in &candidates {
-            if let Ok(r) = evaluate(&workload, df, &cfg) {
-                assert!(best.report.total_cycles <= r.total_cycles);
+        let candidates = extended_candidates(&workload, &cfg);
+        for objective in [Objective::Runtime, Objective::Energy, Objective::Edp] {
+            let mut expected: Vec<(f64, usize, CostReport)> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, df)| {
+                    let r = evaluate(&workload, df, &cfg).unwrap();
+                    (objective.score(&r), i, r)
+                })
+                .collect();
+            expected.sort_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)));
+            let ranked = rank(&candidates, &workload, &cfg, objective);
+            assert_eq!(ranked.len(), candidates.len());
+            for (r, (score, i, report)) in ranked.iter().zip(&expected) {
+                assert_eq!(r.dataflow, candidates[*i]);
+                assert_eq!(r.score.to_bits(), score.to_bits());
+                assert_eq!(r.report.total_cycles, report.total_cycles);
+                let energy = |r: &CostReport| r.energy.total_pj().to_bits();
+                assert_eq!(energy(&r.report), energy(report));
+                assert_eq!(r.report.agg.chunk_marks, report.agg.chunk_marks);
+                assert_eq!(r.pattern_index, None);
             }
         }
     }
 
     #[test]
-    fn best_of_counts_only_actual_evaluations() {
+    fn rank_keeps_the_first_position_of_a_duplicate() {
+        let cfg = AccelConfig::paper_default();
+        let workload = wl();
+        // Two distinct dataflows with the same runtime: only their positions
+        // order them.
+        let sample = sampled_candidates(&workload, &cfg, 400, 0);
+        let ranked = rank(&sample, &workload, &cfg, Objective::Runtime);
+        let (a, b) = ranked
+            .windows(2)
+            .find(|w| w[0].score == w[1].score)
+            .map(|w| (w[0].dataflow, w[1].dataflow))
+            .expect("a runtime tie among the sampled patterns");
+        for (first, second) in [(a, b), (b, a)] {
+            let order: Vec<GnnDataflow> =
+                rank(&[first, second, first], &workload, &cfg, Objective::Runtime)
+                    .iter()
+                    .map(|r| r.dataflow)
+                    .collect();
+            assert_eq!(order, [first, second]);
+        }
+    }
+
+    #[test]
+    fn rank_drops_invalid_candidates() {
         use omega_dataflow::{IntraTiling, LoopOrder, PhaseOrder};
         let cfg = AccelConfig::paper_default();
         let workload = wl();
         let mut candidates = preset_candidates(&workload, &cfg);
         // A PP dataflow whose loop orders cannot pipeline fails validation and
-        // must be counted as skipped, not evaluated.
+        // is dropped from the ranking.
         let agg_order = LoopOrder::new(Phase::Aggregation, [Dim::N, Dim::V, Dim::F]).unwrap();
         let cmb_order = LoopOrder::new(Phase::Combination, [Dim::V, Dim::G, Dim::F]).unwrap();
-        candidates.push(GnnDataflow {
+        let invalid = GnnDataflow {
             inter: InterPhase::ParallelPipeline,
             phase_order: PhaseOrder::AC,
             agg: IntraTiling::new(Phase::Aggregation, agg_order, [1, 2, 2]),
             cmb: IntraTiling::new(Phase::Combination, cmb_order, [2, 2, 1]),
-        });
-        let best = best_of(&candidates, &workload, &cfg, Objective::Runtime, 3).unwrap();
-        assert_eq!(best.evaluated, 9);
-        assert_eq!(best.skipped, 1);
-        assert_eq!(best.evaluated + best.skipped, candidates.len());
+        };
+        assert!(evaluate(&workload, &invalid, &cfg).is_err());
+        candidates.insert(0, invalid);
+        let ranked = rank(&candidates, &workload, &cfg, Objective::Runtime);
+        assert_eq!(ranked.len(), 9);
+        assert!(ranked.iter().all(|r| r.dataflow != invalid));
     }
 
     #[test]
@@ -276,24 +296,29 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
         let candidates = preset_candidates(&workload, &cfg);
-        let rt = best_of(&candidates, &workload, &cfg, Objective::Runtime, 2).unwrap();
-        let en = best_of(&candidates, &workload, &cfg, Objective::Energy, 2).unwrap();
-        let edp = best_of(&candidates, &workload, &cfg, Objective::Edp, 2).unwrap();
+        let best = |objective| rank(&candidates, &workload, &cfg, objective).remove(0);
+        let rt = best(Objective::Runtime);
+        let en = best(Objective::Energy);
+        let edp = best(Objective::Edp);
         // EDP winner can never beat the runtime winner on runtime or the energy
         // winner on energy.
         assert!(edp.report.total_cycles >= rt.report.total_cycles);
         assert!(edp.report.energy.total_pj() >= en.report.energy.total_pj() - 1e-9);
+        // And the three winners are not all the same dataflow.
+        assert!(rt.dataflow != en.dataflow || en.dataflow != edp.dataflow);
     }
 
     #[test]
     fn search_combines_sources() {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
-        let result = search(&workload, &cfg, Objective::Runtime, 12, 4).unwrap();
-        // presets + CA variants + samples, every one either evaluated or skipped.
-        assert_eq!(result.evaluated + result.skipped, 9 + 3 + 12);
-        assert_eq!(result.skipped, 0); // all concretised candidates validate
-        assert!(result.score > 0.0);
+        let mut candidates = extended_candidates(&workload, &cfg);
+        candidates.extend(sampled_candidates(&workload, &cfg, 12, 0));
+        // presets + CA variants + samples: all concretised candidates validate
+        // and are distinct, so every one ranks.
+        let ranked = rank(&candidates, &workload, &cfg, Objective::Runtime);
+        assert_eq!(ranked.len(), 9 + 3 + 12);
+        assert!(ranked[0].score > 0.0);
     }
 
     #[test]
@@ -303,17 +328,17 @@ mod tests {
         let c = extended_candidates(&wl(), &cfg);
         assert_eq!(c.len(), 12);
         assert!(c.iter().any(|df| df.phase_order == PhaseOrder::CA));
-        // On a wide-feature workload the CA members win the runtime search.
+        // On a wide-feature workload the CA members win the runtime ranking.
         let wide = GnnWorkload::gcn_layer(&DatasetSpec::collab().generate(2), 16);
         let wide_candidates = extended_candidates(&wide, &cfg);
-        let best = best_of(&wide_candidates, &wide, &cfg, Objective::Runtime, 4).unwrap();
+        let best = &rank(&wide_candidates, &wide, &cfg, Objective::Runtime)[0];
         assert_eq!(best.dataflow.phase_order, PhaseOrder::CA, "{}", best.dataflow);
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         let cfg = AccelConfig::paper_default();
-        assert!(best_of(&[], &wl(), &cfg, Objective::Runtime, 2).is_none());
+        assert!(rank(&[], &wl(), &cfg, Objective::Runtime).is_empty());
     }
 }
 
@@ -403,38 +428,6 @@ fn scaled_tile(tiling: &IntraTiling, pos: usize, grow: bool) -> Option<IntraTili
     Some(IntraTiling::new(tiling.phase(), tiling.order(), tiles))
 }
 
-/// The runtime/energy Pareto frontier of a candidate set: every dataflow not
-/// dominated (strictly worse on both axes) by another. Sorted by runtime.
-pub fn pareto_frontier(
-    candidates: &[GnnDataflow],
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-) -> Vec<SearchResult> {
-    let mut evaluated: Vec<(GnnDataflow, CostReport)> = candidates
-        .iter()
-        .filter_map(|df| evaluate(workload, df, cfg).ok().map(|r| (*df, r)))
-        .collect();
-    evaluated.sort_by_key(|(_, r)| r.total_cycles);
-    let mut frontier: Vec<SearchResult> = Vec::new();
-    let mut best_energy = f64::INFINITY;
-    let n = evaluated.len();
-    let skipped = candidates.len() - n;
-    for (df, r) in evaluated {
-        let e = r.energy.total_pj();
-        if e < best_energy {
-            best_energy = e;
-            frontier.push(SearchResult {
-                dataflow: df,
-                score: r.total_cycles as f64,
-                report: r,
-                evaluated: n,
-                skipped,
-            });
-        }
-    }
-    frontier
-}
-
 #[cfg(test)]
 mod extension_tests {
     use super::*;
@@ -495,29 +488,5 @@ mod extension_tests {
         // The refined tiling still fits the machine.
         assert!(refined.dataflow.agg.pe_footprint() <= cfg.num_pes);
         assert!(refined.dataflow.cmb.pe_footprint() <= cfg.num_pes);
-    }
-
-    #[test]
-    fn pareto_frontier_is_nondominated_and_sorted() {
-        let cfg = AccelConfig::paper_default();
-        let workload = wl();
-        let candidates = preset_candidates(&workload, &cfg);
-        let frontier = pareto_frontier(&candidates, &workload, &cfg);
-        assert!(!frontier.is_empty());
-        assert!(frontier.len() <= candidates.len());
-        // Sorted by runtime, strictly improving in energy.
-        for w in frontier.windows(2) {
-            assert!(w[0].report.total_cycles <= w[1].report.total_cycles);
-            assert!(w[0].report.energy.total_pj() > w[1].report.energy.total_pj());
-        }
-        // No frontier point is dominated by any candidate.
-        for f in &frontier {
-            for df in &candidates {
-                let r = evaluate(&workload, df, &cfg).unwrap();
-                let dominates = r.total_cycles < f.report.total_cycles
-                    && r.energy.total_pj() < f.report.energy.total_pj();
-                assert!(!dominates, "{df} dominates {}", f.dataflow);
-            }
-        }
     }
 }

@@ -26,7 +26,7 @@ use omega_dataflow::tiles::choose_tiling;
 use omega_dataflow::{GnnDataflow, InterPhase, PhaseOrder};
 
 use crate::cost::EnergyBreakdown;
-use crate::mapper::{best_of, preset_candidates, Objective};
+use crate::mapper::{preset_candidates, rank, Objective};
 use crate::multiphase::{Chain, ChainError, ChainNode, Link, PartitionSplit, Stage};
 use crate::{evaluate, CostReport, EvalError, GnnWorkload};
 
@@ -268,10 +268,11 @@ pub fn evaluate_model_mapped(
             .into_iter()
             .filter(|df| model.allowed(df.phase_order))
             .collect();
-        let best = best_of(&candidates, &wl, cfg, objective, 4)
-            .ok_or(ModelError::Layer(EvalError::Invalid(
+        let best = rank(&candidates, &wl, cfg, objective).into_iter().next().ok_or(
+            ModelError::Layer(EvalError::Invalid(
                 omega_dataflow::ValidationError::BrokenSpOptimizedTiles { detail: "no candidates" },
-            )))?;
+            )),
+        )?;
         mlp_cycles.push(mlp_stage(model, &wl, &best.report, cfg));
         layers.push(best.report);
     }

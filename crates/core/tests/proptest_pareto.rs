@@ -116,7 +116,7 @@ proptest! {
         let reference = explore(
             &wl,
             &cfg,
-            &DseOptions { threads: 1, prune: false, phase_cache: false, ..base },
+            &DseOptions { threads: 1, prune: false, ..base },
         );
         prop_assert!(reference.frontier.len() >= 3);
         for threads in [1usize, 2, 8] {

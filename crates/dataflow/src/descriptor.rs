@@ -46,7 +46,7 @@ impl std::fmt::Display for GnnDataflowPattern {
 
 /// A concrete GNN dataflow: inter-phase strategy, phase order, and a concrete
 /// tiling per phase. This is the unit the OMEGA cost model evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize, Serialize)]
 pub struct GnnDataflow {
     /// Inter-phase strategy.
     pub inter: InterPhase,

@@ -63,24 +63,18 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use faults::FaultPlan;
 use omega_accel::engine::ElementwiseOp;
 use omega_core::dse::{
-    CacheOutcome, CancelToken, DseCache, DseOptions, ExploreOutcome, RankedDataflow,
+    lock_recover, CacheOutcome, CancelToken, DseCache, DseOptions, ExploreOutcome,
+    RankedDataflow,
 };
-use omega_core::mapper::{extended_candidates, Objective};
-use omega_core::{evaluate, AccelConfig, AttentionSpec, GnnDataflow, GnnWorkload};
+use omega_core::mapper::{extended_candidates, rank, Objective};
+use omega_core::{AccelConfig, AttentionSpec, GnnDataflow, GnnWorkload};
 use serde::{Deserialize, Serialize};
-
-/// Locks a mutex, recovering the guard from a poisoned lock: a worker that
-/// panicked mid-request must not wedge the daemon (same policy as the
-/// serving-path locks inside `omega_core`).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The workload shape of a mapping request. Either the full `degrees` vector
 /// (exact adjacency structure, as the cost model sees offline) or a
@@ -1003,13 +997,15 @@ impl MapperServer {
         objective: Objective,
     ) -> Option<MapResponse> {
         let hint = self.cache.warm_hint(workload)?;
-        let ranked = rank_by_evaluation(
-            hint.outcome.ranked.iter().map(|r| &r.dataflow),
-            workload,
-            cfg,
-            opts,
-            objective,
-        )?;
+        let hinted: Vec<GnnDataflow> = hint.outcome.ranked.iter().map(|r| r.dataflow).collect();
+        let ranked: Vec<Decision> = rank(&hinted, workload, cfg, objective)
+            .iter()
+            .take(opts.top_k.max(1))
+            .map(Decision::of)
+            .collect();
+        if ranked.is_empty() {
+            return None;
+        }
         self.warm_starts.fetch_add(1, Ordering::Relaxed);
         Some(MapResponse {
             ok: true,
@@ -1033,7 +1029,14 @@ impl MapperServer {
         objective: Objective,
     ) -> Option<MapResponse> {
         let candidates = extended_candidates(workload, cfg);
-        let ranked = rank_by_evaluation(candidates.iter(), workload, cfg, opts, objective)?;
+        let ranked: Vec<Decision> = rank(&candidates, workload, cfg, objective)
+            .iter()
+            .take(opts.top_k.max(1))
+            .map(Decision::of)
+            .collect();
+        if ranked.is_empty() {
+            return None;
+        }
         Some(MapResponse {
             ok: true,
             cache: Some("preset".into()),
@@ -1087,40 +1090,6 @@ impl MapperServer {
             p99_us: percentile_us(&sorted, 0.99),
         }
     }
-}
-
-/// Evaluates candidate dataflows on `workload`, ranks by objective score
-/// (ties broken by display form for determinism), dedups, and truncates to
-/// the requested top-K. `None` when nothing evaluates successfully.
-fn rank_by_evaluation<'a, I>(
-    candidates: I,
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-    opts: &DseOptions,
-    objective: Objective,
-) -> Option<Vec<Decision>>
-where
-    I: Iterator<Item = &'a GnnDataflow>,
-{
-    let mut ranked: Vec<Decision> = candidates
-        .filter_map(|dataflow| {
-            let report = evaluate(workload, dataflow, cfg).ok()?;
-            Some(Decision {
-                dataflow: dataflow.to_string(),
-                cycles: report.total_cycles,
-                energy_pj: report.energy.total_pj(),
-                buffer_peak_bytes: report.buffer_peak_bytes,
-                score: objective.score(&report),
-            })
-        })
-        .collect();
-    if ranked.is_empty() {
-        return None;
-    }
-    ranked.sort_by(|a, b| a.score.total_cmp(&b.score).then_with(|| a.dataflow.cmp(&b.dataflow)));
-    ranked.dedup_by(|a, b| a.dataflow == b.dataflow);
-    ranked.truncate(opts.top_k.max(1));
-    Some(ranked)
 }
 
 fn disposition(how: CacheOutcome) -> &'static str {

@@ -61,14 +61,8 @@ fn main() {
         &hw,
         &DseOptions { threads, top_k: 3, ..DseOptions::default() },
     );
-    let preset_only = mapper::best_of(
-        &mapper::preset_candidates(&workload, &hw),
-        &workload,
-        &hw,
-        Objective::Runtime,
-        threads,
-    )
-    .expect("presets evaluated");
+    let presets = mapper::preset_candidates(&workload, &hw);
+    let preset_only = mapper::rank(&presets, &workload, &hw, Objective::Runtime).remove(0);
     let optimum = out.best().expect("non-empty space");
     println!(
         "\nruntime: best Table V preset = {} cycles; exhaustive optimum = {} cycles ({:+.1}%)",

@@ -1,12 +1,12 @@
 //! Whole-model evaluation: 2-layer GCN / GraphSAGE / 5-layer GIN on one graph,
-//! per-layer dataflow selection, tile refinement, and the runtime-energy
-//! Pareto frontier.
+//! per-layer dataflow selection, tile refinement, and the (runtime, energy,
+//! buffer-footprint) Pareto frontier of the full pattern space.
 //!
 //! ```sh
 //! cargo run --release --example gnn_models [dataset]
 //! ```
 
-use omega_gnn::core::mapper::{pareto_frontier, preset_candidates, refine_tiles};
+use omega_gnn::core::mapper::{preset_candidates, refine_tiles};
 use omega_gnn::core::models::{evaluate_model, evaluate_model_mapped, GnnModel};
 use omega_gnn::prelude::*;
 
@@ -56,13 +56,19 @@ fn main() {
     }
 
     // --- Pareto frontier -------------------------------------------------------
-    println!("\nruntime/energy Pareto frontier over the Table V presets:");
-    for point in pareto_frontier(&candidates, &base, &hw) {
+    let out = dse::explore(&base, &hw, &DseOptions { pareto: true, ..DseOptions::default() });
+    println!(
+        "\n(runtime, energy, buffer) Pareto frontier over all 6,656 patterns: {} points, \
+         fastest 10:",
+        out.frontier.len()
+    );
+    for point in out.frontier.iter().take(10) {
         println!(
-            "  {:<28} {:>9} cycles  {:>9.2} uJ",
+            "  {:<28} {:>9} cycles  {:>9.2} uJ  {:>9} B",
             point.dataflow.to_string(),
-            point.report.total_cycles,
-            point.report.energy.total_uj()
+            point.runtime_cycles,
+            point.report.energy.total_uj(),
+            point.buffer_peak_bytes
         );
     }
 }

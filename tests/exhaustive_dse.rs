@@ -7,6 +7,48 @@ use omega_gnn::prelude::*;
 
 use omega_dataflow::enumerate::{all_patterns, design_space_size, PatternSpace};
 
+/// Ranked entries as (dataflow, tiles, score bits, cycles, energy bits,
+/// pattern index).
+type RankKey = Vec<(String, String, u64, u64, u64, Option<usize>)>;
+
+fn rank_key(
+    ranked: &[dse::RankedDataflow],
+    pattern_index: impl Fn(&dse::RankedDataflow) -> Option<usize>,
+) -> RankKey {
+    ranked
+        .iter()
+        .map(|r| {
+            (
+                r.dataflow.to_string(),
+                format!("{:?}", r.dataflow.tile_tuple()),
+                r.score.to_bits(),
+                r.report.total_cycles,
+                r.report.energy.total_pj().to_bits(),
+                pattern_index(r),
+            )
+        })
+        .collect()
+}
+
+/// `explore`'s ranked output.
+fn explore_key(out: &dse::ExploreOutcome) -> RankKey {
+    rank_key(&out.ranked, |r| r.pattern_index)
+}
+
+/// The sweep's oracle: the first `n` entries of `mapper::rank` over every
+/// sweep candidate, each pattern index recovered from its list position.
+fn reference_key(
+    workload: &GnnWorkload,
+    hw: &AccelConfig,
+    objective: Objective,
+    n: usize,
+) -> RankKey {
+    let candidates = dse::sweep_candidates(workload, hw);
+    let ranked = mapper::rank(&candidates, workload, hw, objective);
+    let position = |r: &dse::RankedDataflow| candidates.iter().position(|c| *c == r.dataflow);
+    rank_key(&ranked[..n.min(ranked.len())], |r| position(r).filter(|&i| i < design_space_size()))
+}
+
 fn explore_best(workload: &GnnWorkload, hw: &AccelConfig, objective: Objective) -> f64 {
     let out = dse::explore(
         workload,
@@ -68,14 +110,13 @@ fn model_explore_winners_are_thread_count_invariant() {
     let workload = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 16);
     let model = GnnModel::gcn_2layer(7);
     let cache = DseCache::new();
-    let run = |threads: usize, chunk: usize| -> ModelExploreOutcome {
+    let run = |threads: usize| -> ModelExploreOutcome {
         explore_model(
             &model,
             &workload,
             &hw,
             &ModelDseOptions {
                 threads,
-                chunk,
                 top_k: 4,
                 per_layer_k: 3,
                 pel_rungs: 2,
@@ -84,10 +125,10 @@ fn model_explore_winners_are_thread_count_invariant() {
             &cache,
         )
     };
-    let a = run(1, 16);
-    let b = run(2, 7);
-    let c = run(8, 1);
-    // Bit-identical ranked winners regardless of worker count and chunking.
+    let a = run(1);
+    let b = run(2);
+    let c = run(8);
+    // Bit-identical ranked winners regardless of worker count.
     let key = |o: &ModelExploreOutcome| -> Vec<(String, u64, Option<usize>)> {
         o.ranked
             .iter()
@@ -104,52 +145,37 @@ fn model_explore_winners_are_thread_count_invariant() {
 #[test]
 fn pruned_cached_explore_is_bit_identical_on_two_datasets_and_objectives() {
     // ISSUE 4's contract: the phase-factored, lower-bound-pruned engine must
-    // reproduce the brute-force reference *exactly* — ranked dataflows,
-    // f64-bit scores, pattern indices, reports, and the work accounting — on
-    // Mutag and Proteins under both Runtime and Edp.
+    // reproduce the `mapper::rank` oracle *exactly* — ranked dataflows, f64-bit
+    // scores, pattern indices and reports — on Mutag and Proteins under both
+    // Runtime and Edp, and pruning must only change the work accounting.
     let hw = AccelConfig::paper_default();
     for spec in [DatasetSpec::mutag(), DatasetSpec::proteins()] {
         let workload = GnnWorkload::gcn_layer(&spec.generate(4), 16);
         for objective in [Objective::Runtime, Objective::Edp] {
             let base = DseOptions { objective, threads: 2, top_k: 8, ..DseOptions::default() };
             let fast = dse::explore(&workload, &hw, &base);
-            let reference = dse::explore(
-                &workload,
-                &hw,
-                &DseOptions { prune: false, phase_cache: false, ..base },
-            );
-            // Reference really is the brute-force path.
-            assert_eq!(reference.pruned, 0, "{}/{objective:?}", workload.name);
-            assert_eq!(reference.phase_cache_hits, 0);
-            assert_eq!(reference.phase_sims, 0);
-            // Accounting: every candidate the reference evaluated was either
-            // evaluated or soundly pruned by the fast path; validation skips
-            // are identical.
+            // Ranked output, bit for bit.
+            assert_eq!(fast.ranked.len(), base.top_k);
             assert_eq!(
-                fast.evaluated + fast.pruned,
-                reference.evaluated,
+                explore_key(&fast),
+                reference_key(&workload, &hw, objective, base.top_k),
                 "{}/{objective:?}",
                 workload.name
             );
-            assert_eq!(fast.skipped, reference.skipped);
-            assert_eq!(fast.seeded, reference.seeded);
-            // Ranked output, bit for bit.
-            let key = |o: &dse::ExploreOutcome| -> Vec<(String, String, u64, u64, u64, Option<usize>)> {
-                o.ranked
-                    .iter()
-                    .map(|r| {
-                        (
-                            r.dataflow.to_string(),
-                            format!("{:?}", r.dataflow.tile_tuple()),
-                            r.score.to_bits(),
-                            r.report.total_cycles,
-                            r.report.energy.total_pj().to_bits(),
-                            r.pattern_index,
-                        )
-                    })
-                    .collect()
-            };
-            assert_eq!(key(&fast), key(&reference), "{}/{objective:?}", workload.name);
+            // Accounting: every candidate the unpruned sweep evaluated was
+            // either evaluated or soundly pruned by the fast path; validation
+            // skips and seeds are identical.
+            let unpruned = dse::explore(&workload, &hw, &DseOptions { prune: false, ..base });
+            assert_eq!(unpruned.pruned, 0, "{}/{objective:?}", workload.name);
+            assert_eq!(
+                fast.evaluated + fast.pruned,
+                unpruned.evaluated,
+                "{}/{objective:?}",
+                workload.name
+            );
+            assert_eq!(fast.skipped, unpruned.skipped);
+            assert_eq!(fast.seeded, unpruned.seeded);
+            assert_eq!(explore_key(&fast), explore_key(&unpruned));
             // Under Runtime the prune must actually bite; under Edp it is off.
             match objective {
                 Objective::Runtime => assert!(fast.pruned > 0, "{}", workload.name),
@@ -213,35 +239,28 @@ fn search_result_counts_are_consistent() {
     let hw = AccelConfig::paper_default();
     let workload = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 16);
     let candidates = mapper::extended_candidates(&workload, &hw);
-    let best = mapper::best_of(&candidates, &workload, &hw, Objective::Runtime, 2)
-        .expect("candidates evaluated");
-    assert_eq!(best.evaluated + best.skipped, candidates.len());
-    assert_eq!(best.skipped, 0);
+    let ranked = mapper::rank(&candidates, &workload, &hw, Objective::Runtime);
+    // Every extended candidate is valid and distinct, so each one ranks once.
+    assert_eq!(ranked.len(), candidates.len());
+    assert!(ranked.windows(2).all(|w| w[0].score <= w[1].score));
+    assert!(candidates.iter().all(|df| ranked.iter().any(|r| r.dataflow == *df)));
 }
 
 #[test]
 fn gat_layer_explore_is_bit_identical_and_skips_sddmm_illegal_patterns() {
     // ISSUE 5: the layer-level exhaustive search over an attention workload
     // threads the third (SDDMM) phase through the factored engine — the
-    // pruned/cached path must stay bit-identical to brute force, and the
+    // pruned/cached path must stay bit-identical to the `rank` oracle, and the
     // CA / N-before-V patterns the SDDMM cannot run count as validation skips.
     let hw = AccelConfig::paper_default();
     let plain = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 16);
     let gat = GnnWorkload::gat_layer(&DatasetSpec::mutag().generate(4), 16, 4);
     let base = DseOptions { threads: 2, top_k: 8, ..DseOptions::new(Objective::Runtime) };
     let fast = dse::explore(&gat, &hw, &base);
-    let reference =
-        dse::explore(&gat, &hw, &DseOptions { prune: false, phase_cache: false, ..base });
-    assert_eq!(reference.phase_sims, 0);
-    assert_eq!(fast.evaluated + fast.pruned, reference.evaluated);
-    assert_eq!(fast.skipped, reference.skipped);
-    let key = |o: &dse::ExploreOutcome| -> Vec<(String, u64, u64, Option<usize>)> {
-        o.ranked
-            .iter()
-            .map(|r| (r.dataflow.to_string(), r.score.to_bits(), r.report.total_cycles, r.pattern_index))
-            .collect()
-    };
-    assert_eq!(key(&fast), key(&reference));
+    assert_eq!(explore_key(&fast), reference_key(&gat, &hw, Objective::Runtime, base.top_k));
+    let unpruned = dse::explore(&gat, &hw, &DseOptions { prune: false, ..base });
+    assert_eq!(fast.evaluated + fast.pruned, unpruned.evaluated);
+    assert_eq!(fast.skipped, unpruned.skipped);
     // The attention gates shrink the evaluable space: every CA pattern and
     // every N-before-V aggregation order is now a validation skip.
     let plain_out = dse::explore(&plain, &hw, &base);
@@ -381,7 +400,7 @@ fn model_search_on_sampled_scale_subgraph_is_thread_invariant() {
 
     // Model-level search over a subgraph sampled from a 16k-vertex R-MAT
     // graph: the sampled workload is deterministic, and the ranked model
-    // mappings are invariant to worker count and work-chunk size.
+    // mappings are invariant to worker count.
     let graph = omega_gnn::graph::scale_graph("rmat-14", 5).expect("rmat-14 resolves");
     let sub = omega_gnn::graph::scale::sample_subgraph(&graph, 400, 9);
     assert_eq!(sub.num_vertices(), 400);
@@ -389,14 +408,13 @@ fn model_search_on_sampled_scale_subgraph_is_thread_invariant() {
     let model = GnnModel::gcn_2layer(7);
     let hw = AccelConfig::paper_default();
     let cache = DseCache::new();
-    let run = |threads: usize, chunk: usize| -> ModelExploreOutcome {
+    let run = |threads: usize| -> ModelExploreOutcome {
         explore_model(
             &model,
             &workload,
             &hw,
             &ModelDseOptions {
                 threads,
-                chunk,
                 top_k: 4,
                 per_layer_k: 3,
                 pel_rungs: 2,
@@ -405,8 +423,8 @@ fn model_search_on_sampled_scale_subgraph_is_thread_invariant() {
             &cache,
         )
     };
-    let a = run(1, 16);
-    let b = run(8, 3);
+    let a = run(1);
+    let b = run(8);
     let key = |o: &ModelExploreOutcome| -> Vec<(String, u64, Option<usize>)> {
         o.ranked
             .iter()

@@ -3,8 +3,8 @@
 //! (+pipelined) mappings strictly beat the best uniform Table V preset on the
 //! Cora GCN-2 chain. ISSUE 5 adds the attention scenario: the GAT joint
 //! search (three phases per layer, SDDMM included) beats every uniform
-//! preset, stays thread-count-invariant, and its factored per-layer engine is
-//! bit-identical to the brute-force reference arm.
+//! preset, stays thread-count-invariant, and its pruned per-layer searches
+//! are bit-identical to unpruned ones.
 
 use omega_gnn::core::dse::model::{
     build_space, evaluate_mapping, explore_model, ModelDseOptions, ModelExploreOutcome,
@@ -131,7 +131,7 @@ fn gat_joint_winner_beats_every_uniform_preset_and_is_thread_invariant() {
         &model,
         &workload,
         &hw,
-        &ModelDseOptions { threads: 8, chunk: 3, ..small_opts() },
+        &ModelDseOptions { threads: 8, ..small_opts() },
         &DseCache::new(),
     );
     assert_eq!(ranked_key(&two), ranked_key(&eight));
@@ -140,9 +140,10 @@ fn gat_joint_winner_beats_every_uniform_preset_and_is_thread_invariant() {
 
 #[test]
 fn gat_factored_search_is_bit_identical_to_reference_arm() {
-    // The acceptance criterion: the factored path (phase cache + pruning in
-    // the per-layer searches) and the `--no-prune --no-phase-cache` reference
-    // produce bit-identical ranked GAT outcomes.
+    // The acceptance criterion: pruning in the per-layer searches changes
+    // only the work done, never the ranked GAT outcome. (The layer searches
+    // themselves are checked against the `mapper::rank` oracle in
+    // `exhaustive_dse.rs`.)
     let hw = AccelConfig::paper_default();
     let workload = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 16);
     let model = GnnModel::gat_2layer(8, 7);
@@ -151,12 +152,11 @@ fn gat_factored_search_is_bit_identical_to_reference_arm() {
         &model,
         &workload,
         &hw,
-        &ModelDseOptions { prune: false, phase_cache: false, ..small_opts() },
+        &ModelDseOptions { prune: false, ..small_opts() },
         &DseCache::new(),
     );
-    assert_eq!(reference.phase_sims, 0);
-    assert_eq!(reference.phase_cache_hits, 0);
     assert!(fast.phase_sims > 0);
+    assert!(reference.phase_sims >= fast.phase_sims);
     assert_eq!(ranked_key(&fast), ranked_key(&reference));
 }
 

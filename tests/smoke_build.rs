@@ -46,17 +46,16 @@ fn every_preset_evaluates_via_prelude() {
     }
 }
 
-/// The mapper path re-exported through the prelude finds a best dataflow.
+/// The mapper path re-exported through the prelude ranks the presets.
 #[test]
-fn mapper_best_of_via_prelude() {
+fn mapper_rank_via_prelude() {
     let dataset = DatasetSpec::mutag().generate(42);
     let workload = GnnWorkload::gcn_layer(&dataset, 16);
     let hw = AccelConfig::paper_default();
 
     let candidates = mapper::preset_candidates(&workload, &hw);
     assert!(!candidates.is_empty());
-    let best = mapper::best_of(&candidates, &workload, &hw, Objective::Runtime, 4)
-        .expect("at least one candidate evaluates");
-    assert!(best.report.total_cycles > 0);
-    assert_eq!(best.evaluated, candidates.len());
+    let ranked = mapper::rank(&candidates, &workload, &hw, Objective::Runtime);
+    assert_eq!(ranked.len(), candidates.len());
+    assert!(ranked[0].report.total_cycles > 0);
 }
