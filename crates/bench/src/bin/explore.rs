@@ -23,6 +23,7 @@
 //! stdout).
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use omega_accel::engine::ElementwiseOp;
 use omega_accel::AccelConfig;
@@ -308,6 +309,7 @@ fn main() -> ExitCode {
     // The Table IV registry first; unknown names fall through to the scale
     // family (`rmat-N` / `chung-lu-N`), whose summary-driven sweeps are the
     // reason million-vertex workloads are now addressable from the CLI.
+    let started = Instant::now();
     let mut workload = match DatasetSpec::by_name(&args.dataset) {
         Some(spec) => {
             let dataset = spec.generate(args.seed);
@@ -325,6 +327,9 @@ fn main() -> ExitCode {
             }
         },
     };
+    // Graph generation plus workload build: on the scale family this is
+    // the largest set-up cost, so the workload line reports it.
+    let generate_s = started.elapsed().as_secs_f64();
     // `--activation` appends a sequential elementwise suffix to every evaluated
     // design; in model mode the same op rides on every layer instead.
     workload.post_op = args.activation;
@@ -359,7 +364,7 @@ fn main() -> ExitCode {
         if let Some(op) = args.activation {
             model = model.with_activation(op);
         }
-        return run_model(&model, &workload, &cfg, &args);
+        return run_model(&model, &workload, &cfg, &args, generate_s);
     }
 
     let opts = DseOptions {
@@ -373,14 +378,15 @@ fn main() -> ExitCode {
     let outcome = explore(&workload, &cfg, &opts);
 
     println!(
-        "workload  {} (V={}, F={}, G={}, nnz={}, max deg={}{})",
+        "workload  {} (V={}, F={}, G={}, nnz={}, max deg={}{}), generated in {:.2} s",
         workload.name,
         workload.v,
         workload.f,
         workload.g,
         workload.nnz,
         workload.max_degree,
-        workload.post_op.map(|op| format!(", post {op}")).unwrap_or_default()
+        workload.post_op.map(|op| format!(", post {op}")).unwrap_or_default(),
+        generate_s
     );
     println!("machine   {} PEs, {} elems/cycle NoC", cfg.num_pes, cfg.dist_bandwidth);
     println!(
@@ -456,7 +462,13 @@ fn main() -> ExitCode {
 
 /// Model mode: joint search over per-layer dataflows × inter-layer links × PE
 /// partitions for a whole GNN chain, reported against the best uniform preset.
-fn run_model(model: &GnnModel, workload: &GnnWorkload, cfg: &AccelConfig, args: &Args) -> ExitCode {
+fn run_model(
+    model: &GnnModel,
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+    args: &Args,
+    generate_s: f64,
+) -> ExitCode {
     if args.hidden.is_some() || args.refine {
         eprintln!(
             "error: --hidden and --refine have no effect with --model \
@@ -478,13 +490,14 @@ fn run_model(model: &GnnModel, workload: &GnnWorkload, cfg: &AccelConfig, args: 
     let outcome = explore_model(model, workload, cfg, &opts, DseCache::global());
 
     println!(
-        "model     {} ({} layers) on {} (V={}, F={}, nnz={})",
+        "model     {} ({} layers) on {} (V={}, F={}, nnz={}), generated in {:.2} s",
         outcome.model,
         outcome.layer_candidates.len(),
         workload.name,
         workload.v,
         workload.f,
-        workload.nnz
+        workload.nnz,
+        generate_s
     );
     println!("machine   {} PEs, {} elems/cycle NoC", cfg.num_pes, cfg.dist_bandwidth);
     println!(

@@ -101,7 +101,7 @@ pub struct WorkloadSpec {
     /// generates the graph itself (deterministic seed), so million-vertex
     /// requests do not ship a million-entry `degrees` vector over the wire.
     /// When present, `v`/`f`/`degrees`/`mean_degree` are ignored; `g` still
-    /// sets the hidden width.
+    /// sets the hidden width. Names above `N = 20` are refused.
     pub dataset: Option<String>,
 }
 
@@ -109,6 +109,12 @@ pub struct WorkloadSpec {
 /// server resolves the same name to the same graph, so persisted cache
 /// entries stay valid across daemons.
 pub const SCALE_DATASET_SEED: u64 = 0x0E5A_2022;
+
+/// Largest `N` a [`WorkloadSpec::dataset`] request may name (`rmat-20` is
+/// ≈ 1M vertices and 17M stored non-zeros). Larger names are refused before
+/// anything is generated, so one request line cannot make the server build
+/// a multi-gigabyte graph.
+const MAX_SERVE_SCALE: u32 = 20;
 
 impl WorkloadSpec {
     /// Builds the request shape from an existing workload (client side).
@@ -132,9 +138,17 @@ impl WorkloadSpec {
             if self.g == 0 {
                 return Err("workload g must be positive".into());
             }
-            let graph = omega_graph::scale_graph(ds, SCALE_DATASET_SEED).ok_or_else(|| {
+            let (_, scale) = omega_graph::scale::parse_spec(ds).ok_or_else(|| {
                 format!("unknown scale dataset `{ds}` (expected rmat-N or chung-lu-N)")
             })?;
+            if scale > MAX_SERVE_SCALE {
+                return Err(format!(
+                    "scale dataset `{ds}` is too large to serve (N = {scale}; the limit is \
+                     N <= {MAX_SERVE_SCALE})"
+                ));
+            }
+            let graph = omega_graph::scale_graph(ds, SCALE_DATASET_SEED)
+                .expect("parse_spec accepted the name");
             let mut wl = GnnWorkload::from_graph(&graph, self.g);
             if let Some(name) = &self.name {
                 wl.name = name.clone();
@@ -1265,6 +1279,24 @@ mod tests {
         // Unknown family names are rejected, not silently defaulted.
         let bad = WorkloadSpec { dataset: Some("rmat-x".into()), ..spec };
         assert!(bad.to_workload().is_err());
+    }
+
+    #[test]
+    fn oversized_scale_datasets_are_refused_before_generation() {
+        let server = test_server();
+        let ask = |ds: &str| -> MapResponse {
+            let spec = WorkloadSpec { dataset: Some(ds.into()), ..tiny_workload_spec(8) };
+            serde_json::from_str(&server.handle_line(&request_json(&spec, ""))).unwrap()
+        };
+        for ds in ["rmat-21", "rmat-26", "chung-lu-21"] {
+            let refused = ask(ds);
+            assert!(!refused.ok, "{ds} was served");
+            let error = refused.error.unwrap_or_default();
+            assert!(error.contains("N <= 20"), "{ds}: error `{error}` does not name the limit");
+        }
+        let served = ask("rmat-6");
+        assert!(served.ok, "rmat-6: {:?}", served.error);
+        assert!(served.best.is_some());
     }
 
     #[test]
