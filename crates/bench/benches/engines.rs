@@ -77,9 +77,6 @@ fn bench_reference_kernels(c: &mut Criterion) {
     let a = DenseMatrix::from_fn(256, 256, |i, j| ((i * j) % 7) as f32);
     let b_mat = DenseMatrix::from_fn(256, 64, |i, j| ((i + j) % 5) as f32);
     g.bench_function("gemm_256", |b| b.iter(|| black_box(ops::gemm(&a, &b_mat).unwrap())));
-    g.bench_function("gemm_256_parallel", |b| {
-        b.iter(|| black_box(ops::gemm_parallel(&a, &b_mat, 4).unwrap()))
-    });
     g.finish();
 }
 

@@ -29,9 +29,15 @@
 //!   harness evaluating 12 knob points against the exhaustive optimum) skip
 //!   re-searching the same workload.
 //!
-//! Which candidates a wave holds and what it simulates depend only on the
-//! sorted list and the merged results, never on which worker finished first,
-//! so the ranked output *and* the work counters are thread-count-invariant.
+//! The sweep is a serial driver: each parallel step (the plan pass, a wave's
+//! simulations, a wave's compositions) is one call to `par_map`, which
+//! returns its results in index order, and the merges and the next wave's
+//! set-up run on the driver between those calls. `par_map` is the crate's
+//! only thread primitive; [`model::explore_model`] scores its joint space
+//! through it too. Which candidates a wave holds and what it simulates depend
+//! only on the sorted list and the merged results, never on which worker
+//! finished first, so the ranked output *and* the work counters are
+//! thread-count-invariant.
 //! The sweep's oracle is [`crate::mapper::rank`] over [`sweep_candidates`]:
 //! its first `top_k` entries are the ranked output, bit for bit.
 
@@ -40,13 +46,9 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard,
-    RwLockWriteGuard,
-};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use omega_accel::{AccelConfig, PhaseStats};
@@ -245,11 +247,11 @@ pub fn sweep_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<GnnDat
 }
 
 /// Locks `m`, adopting the guard even when a previous holder panicked. Every
-/// structure guarded this way (the Pareto frontiers, the phase-sim cache, the
-/// [`DseCache`] state, the serving daemon's queues) stays structurally valid
-/// across any panic point, so the poison flag only records that *some*
-/// request died — and a long-running mapper process must keep serving after
-/// one request panics, not wedge on `PoisonError` forever.
+/// structure guarded this way (the [`DseCache`] state, the serving daemon's
+/// queues) stays structurally valid across any panic point, so the poison
+/// flag only records that *some* request died — and a long-running mapper
+/// process must keep serving after one request panics, not wedge on
+/// `PoisonError` forever.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -331,16 +333,16 @@ fn dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
 }
 
-/// The shared (mutex-guarded) Pareto-frontier accumulator of a `--pareto`
-/// sweep: entries are mutually non-dominated axis vectors
+/// The Pareto-frontier accumulator of a `--pareto` sweep: entries are
+/// mutually non-dominated axis vectors
 /// `[runtime cycles, energy pJ, buffer-peak bytes]` with their candidates.
 ///
 /// Order-invariant by construction: an insert is rejected only when an
 /// existing entry dominates it, and it evicts every entry it dominates —
 /// since dominance is transitive, the surviving set is exactly the
-/// non-dominated subset of everything ever offered, regardless of the
-/// interleaving. Equal vectors are all kept (neither dominates); the
-/// finalisation dedups by candidate. Generic over the candidate/report pair:
+/// non-dominated subset of everything ever offered, in any order. Equal
+/// vectors are all kept (neither dominates); the finalisation dedups by
+/// candidate. Generic over the candidate/report pair:
 /// [`explore`] accumulates dataflows, [`model::explore_model`] whole-model
 /// mappings.
 pub(crate) struct ParetoFront<C, R> {
@@ -396,7 +398,7 @@ impl<C: PartialEq, R> ParetoFront<C, R> {
 
 /// Cooperative cancellation for long-running searches: a cheap, cloneable
 /// flag the [`explore_cancellable`] workers check before claiming each phase
-/// simulation, composition, or planning chunk. A serving process hands one to
+/// simulation, composition, or pattern to plan. A serving process hands one to
 /// each search it might abandon (deadline expiry, shutdown), so an abandoned
 /// search stops burning workers once the simulations already running finish,
 /// instead of running to completion.
@@ -420,77 +422,51 @@ impl CancelToken {
     }
 }
 
-/// A generic scored candidate: `(score, tie-break index, candidate, report)`.
-pub(crate) type ScoredEntry<C, R> = (f64, usize, C, R);
-
-/// How [`parallel_search`] scores a candidate (given its enumeration index):
-/// `Some((objective value, report))`, or `None` when it is structurally
-/// invalid.
-pub(crate) type Scorer<'f, C, R> = dyn Fn(&C, usize) -> Option<(f64, R)> + Sync + 'f;
-
-/// Candidates per work-queue claim of [`parallel_search`].
-const CHUNK: usize = 16;
-
-/// Evaluates `count` candidates produced on demand by `gen` across `threads`
-/// scoped workers pulling chunked ranges from an atomic cursor, scoring each
-/// with `score` (invalid ones count as skipped) and keeping `k` winners per
-/// worker. Returns the merged (unsorted) per-worker top-K lists plus
-/// `(evaluated, skipped)` counts. Ties break by index, so the merged winners
-/// do not depend on the thread count.
+/// Runs `f` on every index of `0..len` across `threads` scoped workers, the
+/// caller being one of them, each claiming the next index from an atomic
+/// cursor. Results come back in index order. Once `cancel` fires no index is
+/// claimed any more, and the unclaimed ones come back `None`. A panic in `f`
+/// resumes on the caller once every worker has stopped.
 ///
-/// The search primitive of [`model::explore_model`] (whole-model mappings);
-/// the layer sweep of [`explore`] runs its own plan-first sweep, and
-/// [`crate::mapper::rank`] ranks an explicit dataflow list serially.
-pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
-    count: usize,
-    gen: &(dyn Fn(usize) -> C + Sync),
-    score: &Scorer<'_, C, R>,
-    k: usize,
+/// The crate's only thread primitive: every parallel step of [`explore`] and
+/// [`model::explore_model`] is one call.
+pub(crate) fn par_map<T: Send>(
+    len: usize,
     threads: usize,
-) -> (Vec<ScoredEntry<C, R>>, usize, usize) {
-    if count == 0 {
-        return (Vec::new(), 0, 0);
+    cancel: &CancelToken,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    let threads = threads.min(len);
+    if threads <= 1 {
+        return (0..len).map(|i| (!cancel.is_cancelled()).then(|| f(i))).collect();
     }
-    let threads = threads.max(1).min(count);
     let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let run_worker = || -> (TopK<C, R>, usize, usize) {
-        let mut top = TopK::new(k);
-        let mut evaluated = 0usize;
-        let mut skipped = 0usize;
-        loop {
-            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-            if start >= count {
+    let work = || {
+        let mut done = Vec::new();
+        while !cancel.is_cancelled() {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
                 break;
             }
-            for index in start..(start + CHUNK).min(count) {
-                let candidate = gen(index);
-                match score(&candidate, index) {
-                    Some((score, report)) => {
-                        evaluated += 1;
-                        top.offer(Entry { score, index, candidate, report });
-                    }
-                    None => skipped += 1,
-                }
-            }
+            done.push((i, f(i)));
         }
-        (top, evaluated, skipped)
+        done
     };
-    let results: Vec<(TopK<C, R>, usize, usize)> = thread::scope(|s| {
-        let handles: Vec<_> = (0..threads).map(|_| s.spawn(|_| run_worker())).collect();
-        handles.into_iter().map(|h| h.join().expect("dse worker panicked")).collect()
-    })
-    .expect("dse scope");
-
-    let mut merged = Vec::new();
-    let mut evaluated = 0;
-    let mut skipped = 0;
-    for (top, e, s) in results {
-        evaluated += e;
-        skipped += s;
-        merged.extend(top.entries.into_iter().map(|e| (e.score, e.index, e.candidate, e.report)));
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut parts = vec![work()];
+        // Join each worker here rather than at the end of the scope, so its
+        // thread has exited (and released its allocator arena) on return.
+        for worker in workers {
+            parts.push(worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        parts
+    });
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+    for (i, value) in parts.into_iter().flatten() {
+        out[i] = Some(value);
     }
-    (merged, evaluated, skipped)
+    out
 }
 
 /// Exhaustively searches the full 6,656-pattern space for `workload` on `cfg`.
@@ -551,21 +527,16 @@ pub fn explore_cancellable(
     let total = space.len();
     let threads = opts.threads.max(1);
     let prep = PreparedEval::new(workload, cfg);
-    let seeds = crate::mapper::extended_candidates(workload, cfg);
-    let sweep = Sweep::new(&prep, &space, workload, cfg, opts, cancel, seeds);
-    let lockstep = Lockstep::new(threads);
-    std::thread::scope(|s| {
-        for _ in 1..threads {
-            s.spawn(|| sweep.work(&lockstep));
-        }
-        sweep.work(&lockstep);
-    });
-    if cancel.is_cancelled() {
-        // The sweep stopped early: its partial top-K must not masquerade as
-        // the exhaustive optimum.
-        return None;
-    }
-    let st = sweep.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let sweep = Sweep {
+        prep: &prep,
+        space: &space,
+        workload,
+        cfg,
+        opts,
+        cancel,
+        pruning: opts.prune && opts.objective == Objective::Runtime && !opts.pareto,
+    };
+    let st = sweep.run(crate::mapper::extended_candidates(workload, cfg))?;
     let mut evaluated = st.evaluated;
 
     let pareto = opts.pareto;
@@ -643,9 +614,9 @@ pub fn explore_cancellable(
     })
 }
 
-/// Candidates per wave of the layer sweep, and patterns per claim of its plan
-/// pass. Big enough to keep every worker busy, small enough that the pruning
-/// threshold tightens often; 32–256 measured alike.
+/// Candidates per wave of the layer sweep, and mappings per `par_map` call of
+/// the joint model search. Big enough to keep every worker busy, small enough
+/// that the pruning threshold tightens often; 32–256 measured alike.
 const WAVE: usize = 64;
 
 /// Timeline entries a wave may hold in results too big to memoise
@@ -655,11 +626,8 @@ const WAVE: usize = 64;
 /// A wave always admits its first candidate.
 const WAVE_TIMELINE: u64 = 1 << 22;
 
-/// The plan-first, bound-ordered sweep of [`explore_cancellable`], shared by
-/// its workers. Every worker runs [`Self::work`]; the parallel steps read the
-/// state and claim items from `cursor`, and the serial steps (run by whichever
-/// worker reaches a [`Lockstep::sync`] last) merge results and set up the
-/// next wave.
+/// The plan-first, bound-ordered sweep of [`explore_cancellable`]: what every
+/// step reads. [`Self::run`] drives it.
 struct Sweep<'s, 'a> {
     prep: &'s PreparedEval<'a>,
     space: &'s PatternSpace,
@@ -669,12 +637,6 @@ struct Sweep<'s, 'a> {
     cancel: &'s CancelToken,
     /// Runtime top-K pruning is on (pareto mode prunes by bound vector).
     pruning: bool,
-    /// Next item to claim in the current parallel step; every serial step
-    /// resets it.
-    cursor: AtomicUsize,
-    /// Written only by the serial steps (and by the plan pass handing in its
-    /// results before the first one).
-    state: RwLock<SweepState>,
 }
 
 /// An admitted candidate.
@@ -687,17 +649,13 @@ struct Candidate {
     phases: Vec<usize>,
 }
 
-/// The sweep's state.
+/// The sweep's state, owned by the driver.
 struct SweepState {
     /// The wave's candidates, in index order.
     cands: Vec<Candidate>,
     /// Ids of the phases the wave simulates, longest (largest phase bound)
     /// first.
     todo: Vec<usize>,
-    /// One composed report per candidate.
-    reports: Vec<OnceLock<CostReport>>,
-    /// No wave left: the sweep is complete or cancelled.
-    done: bool,
     /// Every phase configuration seen so far, by id.
     keys: Vec<PhaseKey>,
     /// The id of every phase configuration seen so far.
@@ -705,7 +663,7 @@ struct SweepState {
     /// Each phase's result: memoised, or simulated for the wave in flight. A
     /// result too big to memoise is dropped after its wave, so it is
     /// simulated once per wave that needs it.
-    stats: Vec<OnceLock<Arc<PhaseStats>>>,
+    stats: Vec<Option<Arc<PhaseStats>>>,
     /// Per phase id, the last wave that queued it for simulation.
     queued: Vec<usize>,
     /// Number of the wave being set up (from 1).
@@ -730,203 +688,123 @@ struct SweepState {
     phase_cache_hits: usize,
 }
 
-impl<'s, 'a> Sweep<'s, 'a> {
-    fn new(
-        prep: &'s PreparedEval<'a>,
-        space: &'s PatternSpace,
-        workload: &'s GnnWorkload,
-        cfg: &'s AccelConfig,
-        opts: &'s DseOptions,
-        cancel: &'s CancelToken,
-        seeds: Vec<GnnDataflow>,
-    ) -> Self {
-        Sweep {
-            prep,
-            space,
-            workload,
-            cfg,
-            opts,
-            cancel,
-            pruning: opts.prune && opts.objective == Objective::Runtime && !opts.pareto,
-            cursor: AtomicUsize::new(0),
-            state: RwLock::new(SweepState {
-                cands: Vec::new(),
-                todo: Vec::new(),
-                reports: Vec::new(),
-                done: false,
-                keys: Vec::new(),
-                ids: HashMap::new(),
-                stats: Vec::new(),
-                queued: Vec::new(),
-                wave: 0,
-                timeline: 0,
-                seeds,
-                order: Vec::new(),
-                pos: 0,
-                top: TopK::new(opts.top_k),
-                front: ParetoFront::new(),
-                evaluated: 0,
-                skipped: 0,
-                pruned: 0,
-                seeded: 0,
-                phase_sims: 0,
-                phase_cache_hits: 0,
-            }),
-        }
-    }
-
-    /// One worker's share of the whole sweep: the plan pass, then per wave a
-    /// simulation step and a composition step, each closed by a rendezvous.
-    fn work(&self, lockstep: &Lockstep) {
-        let _breaker = Breaker(lockstep);
-        self.plan_pass();
-        if !lockstep.sync(|| self.next_wave(&mut self.write())) {
-            return;
-        }
-        loop {
-            let (done, simulate) = {
-                let st = self.read();
-                (st.done, !st.todo.is_empty())
-            };
-            if done {
-                return;
-            }
-            if simulate {
-                self.simulate_step();
-                if !lockstep.sync(|| self.cursor.store(0, Ordering::Relaxed)) {
-                    return;
-                }
-            }
-            self.compose_step();
-            if !lockstep.sync(|| self.advance(&mut self.write())) {
-                return;
+impl Sweep<'_, '_> {
+    /// Runs the sweep: the plan pass, then per wave its simulations and its
+    /// compositions, each one [`par_map`], with the merge and the next wave's
+    /// set-up on this thread in between. `None` once cancelled.
+    fn run(&self, seeds: Vec<GnnDataflow>) -> Option<SweepState> {
+        let mut st = SweepState {
+            cands: Vec::new(),
+            todo: Vec::new(),
+            keys: Vec::new(),
+            ids: HashMap::new(),
+            stats: Vec::new(),
+            queued: Vec::new(),
+            wave: 0,
+            timeline: 0,
+            seeds,
+            order: Vec::new(),
+            pos: 0,
+            top: TopK::new(self.opts.top_k),
+            front: ParetoFront::new(),
+            evaluated: 0,
+            skipped: 0,
+            pruned: 0,
+            seeded: 0,
+            phase_sims: 0,
+            phase_cache_hits: 0,
+        };
+        // Plan pass: each valid pattern's admissible cycle lower bound.
+        let bounds = self.map(self.space.len(), |index| {
+            let df = concretize_pattern(&self.space.get(index), self.workload, self.cfg);
+            let plan = self.prep.plan(&df).ok()?;
+            Some(self.prep.lower_bound(&plan, df.inter))
+        })?;
+        for (index, bound) in bounds.into_iter().enumerate() {
+            match bound {
+                Some(bound) => st.order.push((bound, index)),
+                None => st.skipped += 1,
             }
         }
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, SweepState> {
-        self.state.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, SweepState> {
-        self.state.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Claims the next item of the current parallel step, or `None` when the
-    /// step is exhausted or the sweep is cancelled.
-    fn claim(&self, step: usize, len: usize) -> Option<usize> {
-        if self.cancel.is_cancelled() {
-            return None;
+        self.next_wave(&mut st);
+        while !st.cands.is_empty() {
+            let sims =
+                self.map(st.todo.len(), |i| Arc::new(self.prep.simulate(&st.keys[st.todo[i]])))?;
+            for (&id, stats) in st.todo.iter().zip(sims) {
+                st.stats[id] = Some(stats);
+            }
+            // Retained reports drop their chunk timelines: a poorly-tiled PP
+            // candidate's marks run to millions of entries.
+            let reports = self.map(st.cands.len(), |i| {
+                let c = &st.cands[i];
+                let phases = c.phases.iter().map(|&id| {
+                    Arc::clone(st.stats[id].as_ref().expect("simulated before composing"))
+                });
+                self.prep.compose_from(&c.dataflow, &c.plan, false, phases)
+            })?;
+            self.advance(&mut st, reports);
         }
-        let i = self.cursor.fetch_add(step, Ordering::Relaxed);
-        (i < len).then_some(i)
+        // A cancellation after the last step still counts: a partial top-K
+        // must not masquerade as the exhaustive optimum.
+        (!self.cancel.is_cancelled()).then_some(st)
     }
 
-    /// Concretises and plans patterns in chunks, keeping each valid one's
-    /// admissible cycle lower bound.
-    fn plan_pass(&self) {
-        let total = self.space.len();
-        let mut planned = Vec::new();
-        let mut invalid = 0;
-        while let Some(start) = self.claim(WAVE, total) {
-            for index in start..(start + WAVE).min(total) {
-                let df = concretize_pattern(&self.space.get(index), self.workload, self.cfg);
-                match self.prep.plan(&df) {
-                    Ok(plan) => planned.push((self.prep.lower_bound(&plan, df.inter), index)),
-                    Err(_) => invalid += 1,
-                }
+    /// [`par_map`] over the sweep's workers; `None` when cancelled.
+    fn map<T: Send>(&self, len: usize, f: impl Fn(usize) -> T + Sync) -> Option<Vec<T>> {
+        par_map(len, self.opts.threads, self.cancel, f).into_iter().collect()
+    }
+
+    /// Merges a wave's composed reports in index order, drops the results
+    /// too big to memoise, and sets up the next wave.
+    fn advance(&self, st: &mut SweepState, reports: Vec<CostReport>) {
+        for (c, report) in st.cands.iter().zip(reports) {
+            st.evaluated += 1;
+            if self.opts.pareto {
+                let axes = report_axes(&report);
+                st.front.offer(c.index, c.dataflow, report, axes);
+            } else {
+                let score = self.opts.objective.score(&report);
+                st.top.offer(Entry { score, index: c.index, candidate: c.dataflow, report });
             }
         }
-        let mut st = self.write();
-        st.order.extend(planned);
-        st.skipped += invalid;
-    }
-
-    /// Runs the wave's pending phase simulations, one claim at a time.
-    fn simulate_step(&self) {
-        let st = self.read();
-        while let Some(i) = self.claim(1, st.todo.len()) {
-            let id = st.todo[i];
-            let stats = Arc::new(self.prep.simulate(&st.keys[id]));
-            st.stats[id].set(stats).expect("a phase is simulated once per wave");
-        }
-    }
-
-    /// Composes the wave's candidates from its phase results. Retained
-    /// reports drop their chunk timelines: a poorly-tiled PP candidate's
-    /// marks run to millions of entries.
-    fn compose_step(&self) {
-        let st = self.read();
-        while let Some(i) = self.claim(1, st.cands.len()) {
-            let c = &st.cands[i];
-            let phases = c.phases.iter().map(|&id| {
-                Arc::clone(st.stats[id].get().expect("simulated before composing"))
-            });
-            let report = self.prep.compose_from(&c.dataflow, &c.plan, false, phases);
-            st.reports[i].set(report).expect("a candidate is composed once");
-        }
-    }
-
-    /// Serial step after a wave's compositions: merge its results in index
-    /// order, drop the results too big to memoise, and set up the next wave.
-    fn advance(&self, st: &mut SweepState) {
-        if !self.cancel.is_cancelled() {
-            for (c, report) in st.cands.iter().zip(&mut st.reports) {
-                let report = report.take().expect("every candidate composed");
-                st.evaluated += 1;
-                if self.opts.pareto {
-                    let axes = report_axes(&report);
-                    st.front.offer(c.index, c.dataflow, report, axes);
-                } else {
-                    let score = self.opts.objective.score(&report);
-                    st.top.offer(Entry { score, index: c.index, candidate: c.dataflow, report });
-                }
-            }
-            for &id in &st.todo {
-                if st.stats[id].get().is_some_and(|s| s.chunk_marks.len() > MAX_CACHED_MARKS) {
-                    st.stats[id].take();
-                }
+        for &id in &st.todo {
+            if st.stats[id].as_ref().is_some_and(|s| s.chunk_marks.len() > MAX_CACHED_MARKS) {
+                st.stats[id] = None;
             }
         }
         self.next_wave(st);
     }
 
     /// Sets up the next wave: all the seeds first, then candidates from the
-    /// bound-sorted list (sorted on the first call, once the plan pass is
-    /// in). Marks the sweep done when nothing is left or it was cancelled.
+    /// bound-sorted list (sorted on the first call, after the plan pass). The
+    /// wave is empty when nothing is left.
     fn next_wave(&self, st: &mut SweepState) {
-        self.cursor.store(0, Ordering::Relaxed);
         st.cands.clear();
         st.todo.clear();
         st.wave += 1;
         st.timeline = 0;
-        if !self.cancel.is_cancelled() {
-            // Seeds sit past the space's indices, which keeps tie-breaking
-            // deterministic and marks them as non-enumerated.
-            let total = self.space.len();
-            for (j, dataflow) in std::mem::take(&mut st.seeds).into_iter().enumerate() {
-                if let Ok(plan) = self.prep.plan(&dataflow) {
-                    self.admit(st, total + j, dataflow, plan);
-                }
-            }
-            if st.wave == 1 {
-                st.seeded = st.cands.len();
-                st.order.sort_unstable();
-            }
-            if st.cands.is_empty() {
-                self.admit_patterns(st);
+        // Seeds sit past the space's indices, which keeps tie-breaking
+        // deterministic and marks them as non-enumerated.
+        let total = self.space.len();
+        for (j, dataflow) in std::mem::take(&mut st.seeds).into_iter().enumerate() {
+            if let Ok(plan) = self.prep.plan(&dataflow) {
+                self.admit(st, total + j, dataflow, plan);
             }
         }
-        st.done = st.cands.is_empty();
+        if st.wave == 1 {
+            st.seeded = st.cands.len();
+            st.order.sort_unstable();
+        }
+        if st.cands.is_empty() {
+            self.admit_patterns(st);
+        }
         st.cands.sort_unstable_by_key(|c| c.index);
         let keys = &st.keys;
         st.todo.sort_by_cached_key(|&id| Reverse(self.prep.phase_bound(&keys[id])));
         let lookups: usize = st.cands.iter().map(|c| c.phases.len()).sum();
         st.phase_sims += st.todo.len();
         st.phase_cache_hits += lookups - st.todo.len();
-        st.reports = st.cands.iter().map(|_| OnceLock::new()).collect();
     }
-
     /// Admits up to [`WAVE`] candidates from the sorted list, pruning as it
     /// goes, and fewer when their unmemoisable timelines would pass
     /// [`WAVE_TIMELINE`].
@@ -986,74 +864,17 @@ impl<'s, 'a> Sweep<'s, 'a> {
         for key in plan.keys() {
             let id = *st.ids.entry(*key).or_insert_with(|| {
                 st.keys.push(*key);
-                st.stats.push(OnceLock::new());
+                st.stats.push(None);
                 st.queued.push(0);
                 st.keys.len() - 1
             });
-            if st.stats[id].get().is_none() && st.queued[id] != st.wave {
+            if st.stats[id].is_none() && st.queued[id] != st.wave {
                 st.queued[id] = st.wave;
                 st.todo.push(id);
             }
             phases.push(id);
         }
         st.cands.push(Candidate { index, dataflow, plan, phases });
-    }
-}
-
-/// A reusable rendezvous for a fixed set of workers: [`Self::sync`] blocks
-/// until all of them arrive, and the last to arrive runs the step's serial
-/// part before releasing the rest. A worker that panics breaks it (see
-/// [`Breaker`]), so its peers return instead of waiting forever.
-struct Lockstep {
-    workers: usize,
-    state: Mutex<Rendezvous>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct Rendezvous {
-    arrived: usize,
-    generation: u64,
-    broken: bool,
-}
-
-impl Lockstep {
-    fn new(workers: usize) -> Self {
-        Lockstep { workers: workers.max(1), state: Mutex::default(), cv: Condvar::new() }
-    }
-
-    /// Waits for every worker, running `serial` once all have arrived.
-    /// `false` when a worker panicked: the caller must stop.
-    fn sync(&self, serial: impl FnOnce()) -> bool {
-        let mut st = lock_recover(&self.state);
-        if st.broken {
-            return false;
-        }
-        st.arrived += 1;
-        if st.arrived == self.workers {
-            serial();
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        let generation = st.generation;
-        while st.generation == generation && !st.broken {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        !st.broken
-    }
-}
-
-/// Held by each [`Lockstep`] worker: unwinding past it breaks the rendezvous.
-struct Breaker<'l>(&'l Lockstep);
-
-impl Drop for Breaker<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            lock_recover(&self.0.state).broken = true;
-            self.0.cv.notify_all();
-        }
     }
 }
 
@@ -2200,24 +2021,50 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_worker_breaks_the_lockstep_instead_of_wedging_its_peers() {
-        let lockstep = Lockstep::new(3);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| {
-                        let _breaker = Breaker(&lockstep);
-                        while lockstep.sync(|| {}) {}
-                    });
-                }
-                let _breaker = Breaker(&lockstep);
-                assert!(lockstep.sync(|| {}), "a full round completes");
-                panic!("injected worker panic");
-            })
-        }));
-        // The peers returned (the scope joined them) and the panic surfaced.
-        assert!(outcome.is_err());
-        assert!(!lockstep.sync(|| {}), "a broken lockstep stays broken");
+    fn par_map_returns_results_in_index_order() {
+        let never = CancelToken::new();
+        for threads in [1, 2, 8] {
+            for len in [0, 1, 3, 100] {
+                let want: Vec<Option<usize>> = (0..len).map(|i| Some(i * i)).collect();
+                assert_eq!(par_map(len, threads, &never, |i| i * i), want, "{threads}t, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_claims_nothing_once_cancelled() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        for threads in [1, 2, 8] {
+            let out = par_map(50, threads, &cancel, |i| i);
+            assert!(out.iter().all(Option::is_none), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_par_map_surfaces_instead_of_hanging() {
+        let never = CancelToken::new();
+        let caller = std::thread::current().id();
+        for threads in [2, 8] {
+            for panic_on_caller in [false, true] {
+                // Each of the first `threads` indices holds its thread at the
+                // barrier until all have arrived, so the caller and every
+                // worker reach the panic check.
+                let barrier = std::sync::Barrier::new(threads);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    par_map(64, threads, &never, |i| {
+                        if i < threads {
+                            barrier.wait();
+                        }
+                        let on_caller = std::thread::current().id() == caller;
+                        assert!(on_caller != panic_on_caller, "injected panic at {i}");
+                    })
+                }));
+                assert!(outcome.is_err(), "{threads} threads, panic on caller: {panic_on_caller}");
+            }
+        }
+        let serial = catch_unwind(|| par_map(4, 1, &never, |i| assert!(i < 2, "injected")));
+        assert!(serial.is_err());
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //!   [`Link::Pipelined`] over a small `Pel` ladder derived from the producing
 //!   layer's output size and a ladder of PE splits.
 //!
-//! The product is enumerated with O(1) mixed-radix indexing and driven through
-//! the streaming, thread-deterministic `parallel_search` primitive; uniform
-//! Table V preset chains are seeded so the reported optimum is never worse
-//! than any fixed-preset accelerator.
+//! The product is enumerated with O(1) mixed-radix indexing and scored in
+//! index-ordered `par_map` chunks that fold, in order, into one top-K and one
+//! Pareto frontier; uniform Table V preset chains are seeded so the reported
+//! optimum is never worse than any fixed-preset accelerator.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -33,7 +32,7 @@ use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::GnnDataflow;
 
-use super::{lock_recover, parallel_search, DseCache, DseOptions, ParetoFront};
+use super::{par_map, CancelToken, DseCache, DseOptions, Entry, ParetoFront, TopK, WAVE};
 use crate::mapper::Objective;
 use crate::models::{to_chain, uniform_layer_dataflows, GnnModel, ModelError};
 use crate::multiphase::{evaluate_chain, ChainReport, Link, PartitionSplit};
@@ -459,8 +458,6 @@ pub fn explore_model(
     let total = space.len();
     let threads = opts.threads.max(1);
 
-    let space_ref = &space;
-    let gen = move |i: usize| space_ref.mapping(i);
     let score_mapping = |m: &ModelMapping| -> Option<(f64, ChainReport)> {
         let (s, mut r) = evaluate_mapping(model, base, m, cfg, opts.objective).ok()?;
         // Winners don't need the per-chunk pipeline timelines; keep retention
@@ -472,18 +469,30 @@ pub fn explore_model(
     };
     // The joint sweep never prunes, so the Pareto frontier can ride along the
     // scalar search without affecting it: every evaluated chain is offered.
-    let front: Mutex<ParetoFront<ModelMapping, ChainReport>> = Mutex::new(ParetoFront::new());
-    let front_ref = &front;
-    let pareto = opts.pareto;
-    let score = |m: &ModelMapping, index: usize| -> Option<(f64, ChainReport)> {
-        let (s, r) = score_mapping(m)?;
-        if pareto {
-            lock_recover(front_ref).offer(index, m.clone(), r.clone(), chain_axes(&r));
+    let mut top = TopK::new(opts.top_k);
+    let mut front = ParetoFront::new();
+    let mut evaluated = 0;
+    let mut offer = |index: usize, mapping: ModelMapping, score: f64, report: ChainReport| {
+        evaluated += 1;
+        if opts.pareto {
+            front.offer(index, mapping.clone(), report.clone(), chain_axes(&report));
         }
-        Some((s, r))
+        top.offer(Entry { score, index, candidate: mapping, report });
     };
-    let (mut merged, mut evaluated, skipped) =
-        parallel_search(total, &gen, &score, opts.top_k, threads);
+    let mut skipped = 0;
+    let never = CancelToken::new();
+    for start in (0..total).step_by(WAVE) {
+        let scored = par_map(WAVE.min(total - start), threads, &never, |i| {
+            let mapping = space.mapping(start + i);
+            score_mapping(&mapping).map(|(s, r)| (mapping, s, r))
+        });
+        for (i, scored) in scored.into_iter().enumerate() {
+            match scored.expect("never cancelled") {
+                Some((mapping, s, r)) => offer(start + i, mapping, s, r),
+                None => skipped += 1,
+            }
+        }
+    }
 
     // Seed the uniform Table V preset chains (one preset for every layer,
     // sequential between layers): the reported optimum can never lose to a
@@ -498,7 +507,6 @@ pub fn explore_model(
         let links = vec![Link::Sequential; layer_dataflows.len().saturating_sub(1)];
         let mapping = ModelMapping { layer_dataflows, links };
         if let Some((s, r)) = score_mapping(&mapping) {
-            evaluated += 1;
             seeded += 1;
             if uniform.as_ref().is_none_or(|u| s < u.score) {
                 uniform = Some(UniformBaseline {
@@ -507,55 +515,33 @@ pub fn explore_model(
                     score: s,
                 });
             }
-            if pareto {
-                lock_recover(&front).offer(
-                    total + j,
-                    mapping.clone(),
-                    r.clone(),
-                    chain_axes(&r),
-                );
-            }
-            merged.push((s, total + j, mapping, r));
+            offer(total + j, mapping, s, r);
         }
     }
 
-    let frontier: Vec<ModelParetoPoint> = if pareto {
-        front
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .into_sorted()
-            .into_iter()
-            .map(|(index, mapping, report, axes)| ModelParetoPoint {
-                mapping,
-                runtime_cycles: report.total_cycles,
-                energy_pj: axes[1],
-                buffer_peak_bytes: report.buffer_peak_bytes,
-                report,
-                index: (index < total).then_some(index),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Rank: ascending (score, index), deduplicated by mapping. `total_cmp`
-    // keys so a NaN objective score cannot panic the sort (it ranks last).
-    merged.sort_by(|a, b| super::key_cmp((a.0, a.1), (b.0, b.1)));
-    let mut ranked: Vec<RankedModelMapping> = Vec::with_capacity(opts.top_k.max(1));
-    for (score, index, mapping, report) in merged {
-        if ranked.len() == opts.top_k.max(1) {
-            break;
-        }
-        if ranked.iter().any(|r| r.mapping == mapping) {
-            continue;
-        }
-        ranked.push(RankedModelMapping {
+    let frontier: Vec<ModelParetoPoint> = front
+        .into_sorted()
+        .into_iter()
+        .map(|(index, mapping, report, axes)| ModelParetoPoint {
             mapping,
+            runtime_cycles: report.total_cycles,
+            energy_pj: axes[1],
+            buffer_peak_bytes: report.buffer_peak_bytes,
             report,
-            score,
             index: (index < total).then_some(index),
-        });
-    }
+        })
+        .collect();
+    // The top-K is in ascending (score, index) order, deduplicated by mapping.
+    let ranked: Vec<RankedModelMapping> = top
+        .entries
+        .into_iter()
+        .map(|e| RankedModelMapping {
+            mapping: e.candidate,
+            report: e.report,
+            score: e.score,
+            index: (e.index < total).then_some(e.index),
+        })
+        .collect();
 
     ModelExploreOutcome {
         model: model.name.clone(),
@@ -677,6 +663,30 @@ mod tests {
         let sb = single.best().unwrap();
         assert_eq!(sb.score, best.score);
         assert_eq!(format!("{}", sb.mapping), format!("{}", best.mapping));
+    }
+
+    #[test]
+    fn pareto_model_search_is_thread_count_invariant() {
+        let cfg = AccelConfig::paper_default();
+        let model = GnnModel::gcn_2layer(7);
+        let run = |threads: usize| {
+            // A fresh cache, so the per-layer searches run at `threads` too.
+            let opts = ModelDseOptions { threads, pareto: true, ..quick_opts() };
+            let o = explore_model(&model, &base(), &cfg, &opts, &DseCache::new());
+            let ranked =
+                o.ranked.iter().map(|r| (format!("{}", r.mapping), r.score.to_bits(), r.index));
+            let frontier = o.frontier.iter().map(|p| {
+                let m = format!("{}", p.mapping);
+                (m, p.runtime_cycles, p.energy_pj.to_bits(), p.buffer_peak_bytes, p.index)
+            });
+            let counters = (o.evaluated, o.skipped, o.phase_sims, o.phase_cache_hits);
+            (counters, ranked.collect::<Vec<_>>(), frontier.collect::<Vec<_>>())
+        };
+        let one = run(1);
+        assert!(!one.1.is_empty() && !one.2.is_empty());
+        for threads in [2, 8] {
+            assert_eq!(run(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! once, and recompose the rest arithmetically. [`PhaseSimCache`] offers the
 //! same memoisation to callers that evaluate one dataflow at a time.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use omega_accel::engine::{
     simulate_elementwise, simulate_gemm_prepared, simulate_sddmm_prepared, simulate_spmm_prepared,
@@ -30,7 +30,6 @@ use omega_dataflow::{
 };
 
 use crate::cost::{CostReport, EnergyBreakdown, IntermediateCost};
-use crate::dse::lock_recover;
 use crate::pipeline::pipeline_runtime_of_marks;
 use crate::GnnWorkload;
 
@@ -716,7 +715,7 @@ struct PhaseFloor {
     bandwidth: BandwidthShare,
 }
 
-/// A shared, thread-safe memo of phase simulations for one
+/// A single-threaded memo of phase simulations for one
 /// [`PreparedEval`]-prepared workload, keyed by the full phase plan.
 ///
 /// Purely an execution optimisation: hits return the exact [`PhaseStats`] the
@@ -726,9 +725,9 @@ struct PhaseFloor {
 /// footprint bounded.
 #[derive(Debug, Default)]
 pub struct PhaseSimCache {
-    inner: Mutex<HashMap<PhaseKey, Arc<PhaseStats>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+    inner: RefCell<HashMap<PhaseKey, Arc<PhaseStats>>>,
+    hits: Cell<usize>,
+    misses: Cell<usize>,
 }
 
 /// Chunk-timeline length above which a simulation is recomputed per use rather
@@ -743,18 +742,18 @@ impl PhaseSimCache {
 
     /// Lookups answered from the memo.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that ran a phase engine (unique phase configurations, plus
     /// recomputations of oversized-timeline entries).
     pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Distinct phase configurations currently memoised.
     pub fn len(&self) -> usize {
-        lock_recover(&self.inner).len()
+        self.inner.borrow().len()
     }
 
     /// `true` when nothing is memoised yet.
@@ -764,23 +763,16 @@ impl PhaseSimCache {
 
     /// The stats for `key`, simulated via `prep` on miss.
     fn stats(&self, prep: &PreparedEval<'_>, key: &PhaseKey) -> Arc<PhaseStats> {
-        if let Some(hit) = lock_recover(&self.inner).get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.inner.borrow().get(key) {
+            self.hits.set(self.hits.get() + 1);
             return Arc::clone(hit);
         }
-        // Simulate outside the lock: sims are long, and a racing duplicate is
-        // deterministic, so first-write-wins is harmless. (The exhaustive
-        // sweep does not come through here: it plans first and simulates each
-        // unique key exactly once.)
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
         let stats = Arc::new(prep.simulate(key));
-        if stats.chunk_marks.len() > MAX_CACHED_MARKS {
-            return stats;
+        if stats.chunk_marks.len() <= MAX_CACHED_MARKS {
+            self.inner.borrow_mut().insert(*key, Arc::clone(&stats));
         }
-        lock_recover(&self.inner)
-            .entry(*key)
-            .or_insert(stats)
-            .clone()
+        stats
     }
 }
 

@@ -132,19 +132,6 @@ impl DenseMatrix {
         DenseMatrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
-    /// Splits the matrix rows into contiguous non-overlapping mutable chunks of
-    /// `rows_per_chunk` rows each (the last chunk may be shorter). Used by the
-    /// parallel kernels to hand each worker an exclusive output region.
-    pub fn par_row_chunks_mut(&mut self, rows_per_chunk: usize) -> impl Iterator<Item = (usize, &mut [Elem])> {
-        let cols = self.cols;
-        // `.max(1)` keeps `chunks_mut` legal for zero-width matrices (empty buffer →
-        // the iterator simply yields nothing).
-        self.data
-            .chunks_mut((rows_per_chunk.max(1) * cols).max(1))
-            .enumerate()
-            .map(move |(k, chunk)| (k * rows_per_chunk.max(1), chunk))
-    }
-
     /// Maximum absolute difference against `other`.
     ///
     /// # Errors
@@ -243,18 +230,6 @@ mod tests {
         let c = DenseMatrix::zeros(2, 2);
         assert!(a.max_abs_diff(&c).is_err());
         assert!(!a.allclose(&c, 1.0, 1.0));
-    }
-
-    #[test]
-    fn par_row_chunks_cover_all_rows() {
-        let mut m = DenseMatrix::from_fn(5, 2, |i, _| i as Elem);
-        let mut seen = vec![];
-        for (start, chunk) in m.par_row_chunks_mut(2) {
-            for r in 0..chunk.len() / 2 {
-                seen.push(start + r);
-            }
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

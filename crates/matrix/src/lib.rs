@@ -10,10 +10,6 @@
 //! [`CsrMatrix`], [`CooMatrix`]) and *reference* kernels ([`ops`]) that act as
 //! functional ground truth for the accelerator engines in `omega-accel`: whatever
 //! dataflow the simulator walks, its functional output must match these kernels.
-//!
-//! The kernels come in sequential and parallel (crossbeam scoped threads) flavours;
-//! the parallel ones exist both to keep large-workload tests fast and as the kind of
-//! CPU baseline the paper contrasts spatial accelerators against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,10 @@
-//! Reference kernels: dense GEMM and CSR SpMM, sequential and parallel.
+//! Reference kernels: dense GEMM and CSR SpMM.
 //!
 //! These are the functional ground truth for the accelerator engines in
 //! `omega-accel`: whichever loop order and tiling a dataflow prescribes, the engine's
 //! functional output must equal these kernels' output (up to float associativity).
-//!
-//! Parallel variants use crossbeam scoped threads over disjoint row blocks — the
-//! "commodity CPU" baseline GNN accelerators are motivated against (Section I).
 
-use crossbeam::thread;
-
-use crate::{CsrMatrix, DenseMatrix, Elem, MatrixError, Result};
+use crate::{CsrMatrix, DenseMatrix, MatrixError, Result};
 
 /// Computes `C = A · B` for dense `A` and `B`.
 ///
@@ -20,7 +15,19 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         return Err(MatrixError::DimMismatch { op: "gemm", lhs: a.shape(), rhs: b.shape() });
     }
     let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    gemm_block(a, b, c.as_mut_slice(), 0, a.rows());
+    for i in 0..a.rows() {
+        let crow = c.row_mut(i);
+        // ikj order: stream B rows, accumulate into the output row — good cache
+        // behaviour and a fixed accumulation order.
+        for (k, &aik) in a.row(i).iter().enumerate() {
+            if aik == 0.0 {
+                continue;
+            }
+            for (c, &bkj) in crow.iter_mut().zip(b.row(k)) {
+                *c += aik * bkj;
+            }
+        }
+    }
     Ok(c)
 }
 
@@ -34,102 +41,25 @@ pub fn spmm(a: &CsrMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
         return Err(MatrixError::DimMismatch { op: "spmm", lhs: a.shape(), rhs: b.shape() });
     }
     let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    spmm_block(a, b, c.as_mut_slice(), 0, a.rows());
-    Ok(c)
-}
-
-/// Parallel `C = A · B` over row blocks using `threads` workers.
-///
-/// Produces bit-identical results to [`gemm`] (each output row is computed by exactly
-/// one worker in the same accumulation order).
-///
-/// # Errors
-/// [`MatrixError::DimMismatch`] when `A.cols() != B.rows()`.
-pub fn gemm_parallel(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    if a.cols() != b.rows() {
-        return Err(MatrixError::DimMismatch { op: "gemm_parallel", lhs: a.shape(), rhs: b.shape() });
-    }
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let rows_per = rows_per_worker(a.rows(), threads);
-    let cols = b.cols();
-    thread::scope(|s| {
-        for (start, chunk) in c.par_row_chunks_mut(rows_per) {
-            let rows_here = chunk.len() / cols.max(1);
-            s.spawn(move |_| gemm_block(a, b, chunk, start, rows_here));
-        }
-    })
-    .expect("worker threads do not panic");
-    Ok(c)
-}
-
-/// Parallel `C = A · B` (CSR × dense) over row blocks using `threads` workers.
-///
-/// # Errors
-/// [`MatrixError::DimMismatch`] when `A.cols() != B.rows()`.
-pub fn spmm_parallel(a: &CsrMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    if a.cols() != b.rows() {
-        return Err(MatrixError::DimMismatch { op: "spmm_parallel", lhs: a.shape(), rhs: b.shape() });
-    }
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let rows_per = rows_per_worker(a.rows(), threads);
-    let cols = b.cols();
-    thread::scope(|s| {
-        for (start, chunk) in c.par_row_chunks_mut(rows_per) {
-            let rows_here = chunk.len() / cols.max(1);
-            s.spawn(move |_| spmm_block(a, b, chunk, start, rows_here));
-        }
-    })
-    .expect("worker threads do not panic");
-    Ok(c)
-}
-
-/// GEMM over rows `[row0, row0 + nrows)` of `A`, writing into `out` (row-major,
-/// `nrows × B.cols()`).
-fn gemm_block(a: &DenseMatrix, b: &DenseMatrix, out: &mut [Elem], row0: usize, nrows: usize) {
-    let n = b.cols();
-    for (local, i) in (row0..row0 + nrows).enumerate() {
-        let arow = a.row(i);
-        let crow = &mut out[local * n..(local + 1) * n];
-        // ikj order: stream B rows, accumulate into the output row — good cache
-        // behaviour and a fixed accumulation order shared with the parallel variant.
-        for (k, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = b.row(k);
-            for (c, &bkj) in crow.iter_mut().zip(brow) {
-                *c += aik * bkj;
-            }
-        }
-    }
-}
-
-/// SpMM over rows `[row0, row0 + nrows)` of CSR `A`, writing into `out`.
-fn spmm_block(a: &CsrMatrix, b: &DenseMatrix, out: &mut [Elem], row0: usize, nrows: usize) {
-    let n = b.cols();
-    for (local, i) in (row0..row0 + nrows).enumerate() {
-        let crow = &mut out[local * n..(local + 1) * n];
+    for i in 0..a.rows() {
+        let crow = c.row_mut(i);
         for (col, v) in a.row_iter(i) {
-            let brow = b.row(col);
-            for (c, &bkj) in crow.iter_mut().zip(brow) {
+            for (c, &bkj) in crow.iter_mut().zip(b.row(col)) {
                 *c += v * bkj;
             }
         }
     }
-}
-
-fn rows_per_worker(rows: usize, threads: usize) -> usize {
-    rows.div_ceil(threads.max(1)).max(1)
+    Ok(c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CooMatrix;
+    use crate::{CooMatrix, Elem};
 
     fn dense(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
         // Small deterministic integer-valued matrices: float accumulation is exact,
-        // so sequential/parallel/dataflow results can be compared with `==`.
+        // so kernel and dataflow results can be compared with `==`.
         DenseMatrix::from_fn(rows, cols, |i, j| {
             (((i as u64 * 31 + j as u64 * 17 + seed) % 7) as Elem) - 3.0
         })
@@ -167,7 +97,6 @@ mod tests {
         let a = DenseMatrix::zeros(2, 3);
         let b = DenseMatrix::zeros(4, 2);
         assert!(matches!(gemm(&a, &b), Err(MatrixError::DimMismatch { .. })));
-        assert!(matches!(gemm_parallel(&a, &b, 2), Err(MatrixError::DimMismatch { .. })));
     }
 
     #[test]
@@ -184,27 +113,6 @@ mod tests {
         let a = CsrMatrix::empty(2, 3);
         let b = DenseMatrix::zeros(4, 2);
         assert!(matches!(spmm(&a, &b), Err(MatrixError::DimMismatch { .. })));
-        assert!(matches!(spmm_parallel(&a, &b, 2), Err(MatrixError::DimMismatch { .. })));
-    }
-
-    #[test]
-    fn parallel_gemm_equals_sequential() {
-        let a = dense(17, 9, 4);
-        let b = dense(9, 13, 5);
-        let seq = gemm(&a, &b).unwrap();
-        for threads in [1, 2, 3, 8, 32] {
-            assert_eq!(gemm_parallel(&a, &b, threads).unwrap(), seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_spmm_equals_sequential() {
-        let a = sparse(23, 11, 9);
-        let b = dense(11, 6, 7);
-        let seq = spmm(&a, &b).unwrap();
-        for threads in [1, 2, 5, 16] {
-            assert_eq!(spmm_parallel(&a, &b, threads).unwrap(), seq, "threads={threads}");
-        }
     }
 
     #[test]
@@ -214,7 +122,6 @@ mod tests {
         assert_eq!(gemm(&a, &b).unwrap().shape(), (0, 2));
         let sa = CsrMatrix::empty(0, 3);
         assert_eq!(spmm(&sa, &b).unwrap().shape(), (0, 2));
-        assert_eq!(gemm_parallel(&a, &b, 4).unwrap().shape(), (0, 2));
     }
 
     #[test]
@@ -222,6 +129,5 @@ mod tests {
         let a = dense(3, 2, 0);
         let b = DenseMatrix::zeros(2, 0);
         assert_eq!(gemm(&a, &b).unwrap().shape(), (3, 0));
-        assert_eq!(gemm_parallel(&a, &b, 2).unwrap().shape(), (3, 0));
     }
 }

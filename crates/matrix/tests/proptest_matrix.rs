@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use omega_matrix::ops::{gemm, gemm_parallel, spmm, spmm_parallel};
+use omega_matrix::ops::{gemm, spmm};
 use omega_matrix::{CooMatrix, CsrMatrix, DenseMatrix, Elem};
 
 /// Strategy: a small dense matrix with integer-valued entries so that float
@@ -63,22 +63,10 @@ proptest! {
     }
 
     #[test]
-    fn gemm_parallel_matches_sequential(a in dense_mat(7, 5), b in dense_mat(5, 6), threads in 1usize..6) {
-        let seq = gemm(&a, &b).unwrap();
-        prop_assert_eq!(gemm_parallel(&a, &b, threads).unwrap(), seq);
-    }
-
-    #[test]
     fn spmm_matches_densified_gemm(a in sparse_mat(8, 6), b in dense_mat(6, 5)) {
         let via_spmm = spmm(&a, &b).unwrap();
         let via_gemm = gemm(&a.to_dense(), &b).unwrap();
         prop_assert_eq!(via_spmm, via_gemm);
-    }
-
-    #[test]
-    fn spmm_parallel_matches_sequential(a in sparse_mat(10, 6), b in dense_mat(6, 4), threads in 1usize..6) {
-        let seq = spmm(&a, &b).unwrap();
-        prop_assert_eq!(spmm_parallel(&a, &b, threads).unwrap(), seq);
     }
 
     #[test]

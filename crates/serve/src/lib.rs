@@ -83,7 +83,7 @@ use serde::{Deserialize, Serialize};
 pub struct WorkloadSpec {
     /// Display name (defaults to `"request"`).
     pub name: Option<String>,
-    /// Vertices `V` (> 0).
+    /// Vertices `V` (> 0, at most `2^20`: the largest scale dataset served).
     pub v: usize,
     /// Input feature width `F` (> 0).
     pub f: usize,
@@ -111,9 +111,10 @@ pub struct WorkloadSpec {
 pub const SCALE_DATASET_SEED: u64 = 0x0E5A_2022;
 
 /// Largest `N` a [`WorkloadSpec::dataset`] request may name (`rmat-20` is
-/// ≈ 1M vertices and 17M stored non-zeros). Larger names are refused before
-/// anything is generated, so one request line cannot make the server build
-/// a multi-gigabyte graph.
+/// ≈ 1M vertices and 17M stored non-zeros), and `log2` of the largest `v` a
+/// request may give. Larger requests are refused before anything is
+/// generated or allocated, so one request line cannot make the server build
+/// a multi-gigabyte graph or degree vector.
 const MAX_SERVE_SCALE: u32 = 20;
 
 impl WorkloadSpec {
@@ -164,6 +165,12 @@ impl WorkloadSpec {
             return Err(format!(
                 "workload dims must be positive (v={} f={} g={})",
                 self.v, self.f, self.g
+            ));
+        }
+        if self.v > 1 << MAX_SERVE_SCALE {
+            return Err(format!(
+                "workload v = {} is too large to serve (the limit is v <= 2^{MAX_SERVE_SCALE})",
+                self.v
             ));
         }
         let degrees: Vec<usize> = match &self.degrees {
@@ -1296,6 +1303,23 @@ mod tests {
         }
         let served = ask("rmat-6");
         assert!(served.ok, "rmat-6: {:?}", served.error);
+        assert!(served.best.is_some());
+    }
+
+    #[test]
+    fn oversized_mean_degree_specs_are_refused_before_allocation() {
+        let server = test_server();
+        let ask = |v: usize| -> MapResponse {
+            let line = format!(r#"{{"workload":{{"v":{v},"f":16,"g":16,"mean_degree":4}}}}"#);
+            serde_json::from_str(&server.handle_line(&line)).unwrap()
+        };
+        // 10^10 vertices would be an 80 GB degree vector.
+        let refused = ask(10_000_000_000);
+        assert!(!refused.ok, "a 10^10-vertex spec was served");
+        let error = refused.error.unwrap_or_default();
+        assert!(error.contains("v <= 2^20"), "error `{error}` does not name the limit");
+        let served = ask(1 << 20);
+        assert!(served.ok, "v = 2^20: {:?}", served.error);
         assert!(served.best.is_some());
     }
 
