@@ -309,6 +309,28 @@ pub(crate) struct PhaseWalk {
 }
 
 impl PhaseWalk {
+    /// A fresh walk state; `pass_fill` is the per-pass fill overhead.
+    fn new<E: PhaseEngine>(
+        leaf: &E,
+        classes: &OperandClasses,
+        opts: &EngineOptions,
+        pass_fill: u64,
+    ) -> Self {
+        let chunk_total = opts.chunk.map_or(0, |c| leaf.chunk_total(c.side));
+        PhaseWalk {
+            counters: AccessCounters::default(),
+            cycles: 0,
+            stall_cycles: 0,
+            macs: 0,
+            spilled: false,
+            class_replays: 0,
+            classes: *classes,
+            opts: *opts,
+            chunks: ChunkTracker::new(opts.chunk.as_ref(), chunk_total),
+            overhead: pass_fill,
+        }
+    }
+
     /// `true` when chunk timestamps were requested — leaves use this to pick
     /// order-exact walks over order-insensitive batched ones.
     pub(crate) fn has_chunks(&self) -> bool {
@@ -398,19 +420,7 @@ pub(crate) fn run_phase<E: PhaseEngine>(
         return PhaseStats::empty(footprint);
     }
     let (phase_fill, pass_fill) = fill_overheads(cfg, leaf.reduction_lanes());
-    let chunk_total = opts.chunk.map_or(0, |c| leaf.chunk_total(c.side));
-    let mut w = PhaseWalk {
-        counters: AccessCounters::default(),
-        cycles: 0,
-        stall_cycles: 0,
-        macs: 0,
-        spilled: false,
-        class_replays: 0,
-        classes: *classes,
-        opts: *opts,
-        chunks: ChunkTracker::new(opts.chunk.as_ref(), chunk_total),
-        overhead: pass_fill,
-    };
+    let mut w = PhaseWalk::new(leaf, classes, opts, pass_fill);
     leaf.walk(&mut w);
     crate::telemetry::add_class_replays(w.class_replays);
     let extra = leaf.epilogue(&mut w);
@@ -465,6 +475,19 @@ pub(crate) fn run_phase<E: PhaseEngine>(
         rf_peak_bytes,
         gb_peak_bytes,
     }
+}
+
+/// The tile replays one walk of `leaf` counts — what [`run_phase`] adds to
+/// the process-wide counter, read without racing other tests.
+#[cfg(test)]
+pub(crate) fn walk_class_replays<E: PhaseEngine>(
+    leaf: &E,
+    classes: &OperandClasses,
+    opts: &EngineOptions,
+) -> u64 {
+    let mut w = PhaseWalk::new(leaf, classes, opts, 0);
+    leaf.walk(&mut w);
+    w.class_replays
 }
 
 // ---------------------------------------------------------------------------
@@ -546,6 +569,89 @@ impl DegreeSummary {
     pub(crate) fn max(&self) -> usize {
         self.degs.last().map_or(0, |&d| d as usize)
     }
+
+    /// The neighbour slices `0..n_red` of width `tn`, folded into maximal
+    /// runs of identical slices (see [`slice_runs_in`]): O(runs + classes)
+    /// instead of one summary query per slice.
+    pub(crate) fn slice_runs(&self, tn: usize, n_red: usize, emit: impl FnMut(SliceRun)) {
+        slice_runs_in(&self.degs, &self.rows, &self.edges, tn, n_red, emit);
+    }
+}
+
+/// A maximal run of identical neighbour slices `first..first + len`: each
+/// visits `active` edges, has `rows_active` rows with degree above its base
+/// and `rows_finishing` rows whose last edge falls strictly inside it — the
+/// per-slice `(active(lo, hi), count_gt(lo), count_gt(lo) − count_gt(hi − 1))`
+/// of [`DegreeSummary`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SliceRun {
+    pub(crate) first: usize,
+    pub(crate) len: usize,
+    pub(crate) active: u64,
+    pub(crate) rows_active: u64,
+    pub(crate) rows_finishing: u64,
+}
+
+/// [`DegreeSummary::slice_runs`] of a single row of degree `d`, without
+/// building a summary.
+pub(crate) fn row_slice_runs(d: usize, tn: usize, n_red: usize, emit: impl FnMut(SliceRun)) {
+    slice_runs_in(&[d as u32], &[0, 1], &[0, d as u64], tn, n_red, emit);
+}
+
+/// The run walk over distinct degrees `degs` with their prefix `rows` and
+/// `edges` (the [`DegreeSummary`] columns). Let `d_next` be the smallest degree
+/// above slice `s`'s base `lo = s·tn`: every slice below `floor(d_next / tn)`
+/// holds no degree, so it repeats slice `s`'s tuple `(tn · rows_active,
+/// rows_active, 0)`; a slice holding a degree strictly inside stands alone.
+/// That gives at most `2 · classes + 1` runs, each differing from the next.
+fn slice_runs_in(
+    degs: &[u32],
+    rows: &[u64],
+    edges: &[u64],
+    tn: usize,
+    n_red: usize,
+    mut emit: impl FnMut(SliceRun),
+) {
+    let total = rows[degs.len()];
+    let mut i = 0; // first class with degree > lo
+    let mut s = 0;
+    while s < n_red {
+        let lo = s * tn;
+        while i < degs.len() && degs[i] as usize <= lo {
+            i += 1;
+        }
+        let rows_active = total - rows[i];
+        let end = degs.get(i).map_or(n_red, |&d| (d as usize / tn).min(n_red));
+        if end > s {
+            let active = tn as u64 * rows_active;
+            emit(SliceRun { first: s, len: end - s, active, rows_active, rows_finishing: 0 });
+            s = end;
+            continue;
+        }
+        let hi = lo + tn;
+        let mut j = i; // first class with degree >= hi
+        while j < degs.len() && (degs[j] as usize) < hi {
+            j += 1;
+        }
+        let finishing = rows[j] - rows[i];
+        let active = (edges[j] - edges[i]) - lo as u64 * finishing + tn as u64 * (total - rows[j]);
+        emit(SliceRun { first: s, len: 1, active, rows_active, rows_finishing: finishing });
+        s += 1;
+    }
+}
+
+/// Splits the slices `first..first + len` of an `n_red`-slice reduction so
+/// that slice 0 and slice `n_red − 1` stand alone — the only reduction
+/// indices the pass bodies distinguish. Yields up to three `(first, len)`
+/// pieces in order.
+pub(crate) fn split_ends(first: usize, len: usize, n_red: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = first + len;
+    let head = if first == 0 { 1 } else { first }.min(end);
+    let tail = n_red.saturating_sub(1).clamp(head, end);
+    [(first, head), (head, tail), (tail, end)]
+        .into_iter()
+        .filter(|&(a, b)| b > a)
+        .map(|(a, b)| (a, b - a))
 }
 
 /// Distinct degrees with multiplicities, ascending — single-row vertex tiles
@@ -680,6 +786,10 @@ impl WorkloadSummary {
     }
 }
 
+/// One tile height's summary, built at most once by whichever caller gets
+/// there first.
+type SummarySlot = Arc<OnceLock<Arc<WorkloadSummary>>>;
+
 /// Degree structures of one adjacency, hoisted out of the sparse leaves so a
 /// caller evaluating thousands of tilings of the *same* workload (the DSE hot
 /// path) pays the O(V log V) sorting once instead of per simulation.
@@ -696,8 +806,10 @@ pub struct PreparedSpmm<'a> {
     global: OnceLock<DegreeSummary>,
     /// Per-`T_V` tile summaries, built once and shared across every
     /// simulation of this workload (tile heights are few — the DSE's
-    /// power-of-two tile ladder yields ~log₂ V distinct values).
-    summaries: Mutex<HashMap<usize, Arc<WorkloadSummary>>>,
+    /// power-of-two tile ladder yields ~log₂ V distinct values). The map
+    /// only hands out each height's single-flight slot; the build runs
+    /// outside the lock, so workers needing other heights never wait on it.
+    summaries: Mutex<HashMap<usize, SummarySlot>>,
 }
 
 impl<'a> PreparedSpmm<'a> {
@@ -745,10 +857,14 @@ impl<'a> PreparedSpmm<'a> {
     }
 
     /// The tile summary for vertex-tile height `tv`, built on first use and
-    /// cached (thread-safe — DSE workers share one `PreparedSpmm`).
+    /// cached (thread-safe — DSE workers share one `PreparedSpmm`; callers
+    /// racing on the same height wait for one build, the others run on).
     pub(crate) fn summary(&self, tv: usize) -> Arc<WorkloadSummary> {
-        let mut map = self.summaries.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(tv).or_insert_with(|| Arc::new(WorkloadSummary::new(self.degrees, tv))).clone()
+        let slot = {
+            let mut map = self.summaries.lock().unwrap_or_else(|e| e.into_inner());
+            map.entry(tv).or_default().clone()
+        };
+        slot.get_or_init(|| Arc::new(WorkloadSummary::new(self.degrees, tv))).clone()
     }
 }
 
@@ -776,6 +892,7 @@ impl PreparedGemm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn chunk_tracker_marks_boundaries() {
@@ -923,5 +1040,93 @@ mod tests {
         assert_eq!(d.count_gt(2), 2);
         assert_eq!(d.count_gt(0), 4);
         assert_eq!(d.max(), 5);
+    }
+
+    /// The per-slice tuples the walks queried before slices were folded.
+    fn per_slice(d: &DegreeSummary, tn: usize, n_red: usize) -> Vec<(u64, u64, u64)> {
+        (0..n_red)
+            .map(|s| {
+                let (lo, hi) = (s * tn, s * tn + tn);
+                let rows_active = d.count_gt(lo);
+                (d.active(lo, hi), rows_active, rows_active - d.count_gt(hi - 1))
+            })
+            .collect()
+    }
+
+    fn expand(runs: &[SliceRun]) -> Vec<(u64, u64, u64)> {
+        runs.iter()
+            .flat_map(|r| std::iter::repeat_n((r.active, r.rows_active, r.rows_finishing), r.len))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn slice_runs_expand_to_the_per_slice_queries(
+            degrees in proptest::collection::vec(0usize..70, 0..40),
+            tn in 1usize..=8,
+            extra in 0usize..3,
+        ) {
+            let d = DegreeSummary::new(degrees.iter().copied());
+            let n_red = d.max().div_ceil(tn).max(1) + extra;
+            let mut runs = Vec::new();
+            d.slice_runs(tn, n_red, |r| runs.push(r));
+            prop_assert_eq!(expand(&runs), per_slice(&d, tn, n_red));
+            // Runs are contiguous, maximal, and O(classes).
+            let mut next = 0;
+            for r in &runs {
+                prop_assert_eq!(r.first, next);
+                prop_assert!(r.len > 0);
+                next += r.len;
+            }
+            for pair in runs.windows(2) {
+                let key = |r: &SliceRun| (r.active, r.rows_active, r.rows_finishing);
+                prop_assert_ne!(key(&pair[0]), key(&pair[1]));
+            }
+            prop_assert!(runs.len() <= 2 * d.degs.len() + 1, "{} runs", runs.len());
+            // A lone row's closed form matches its one-row summary.
+            if let Some(&row) = degrees.first() {
+                let one = DegreeSummary::new(std::iter::once(row));
+                let n_red = row.div_ceil(tn).max(1);
+                let mut lone = Vec::new();
+                row_slice_runs(row, tn, n_red, |r| lone.push(r));
+                prop_assert_eq!(expand(&lone), per_slice(&one, tn, n_red));
+            }
+        }
+    }
+
+    #[test]
+    fn split_ends_isolates_the_first_and_last_slice() {
+        let split = |first, len, n_red| split_ends(first, len, n_red).collect::<Vec<_>>();
+        assert_eq!(split(0, 1, 1), [(0, 1)]);
+        assert_eq!(split(0, 5, 5), [(0, 1), (1, 3), (4, 1)]);
+        assert_eq!(split(0, 2, 9), [(0, 1), (1, 1)]);
+        assert_eq!(split(2, 3, 10), [(2, 3)]);
+        assert_eq!(split(7, 3, 10), [(7, 2), (9, 1)]);
+        assert_eq!(split(9, 1, 10), [(9, 1)]);
+        for n_red in 1..6 {
+            for first in 0..n_red {
+                for len in 1..=n_red - first {
+                    let pieces = split(first, len, n_red);
+                    assert_eq!(pieces.iter().map(|p| p.1).sum::<usize>(), len);
+                    for &(a, l) in &pieces {
+                        // Slice 0 and slice n_red − 1 never share a piece.
+                        assert!(l == 1 || (a > 0 && a + l < n_red), "{first}+{len} of {n_red}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_summary_requests_share_one_build() {
+        let degrees: Vec<usize> = (0..4096).map(|i| (i * 31) % 97).collect();
+        let prep = PreparedSpmm::new(&degrees);
+        let got: Vec<Arc<WorkloadSummary>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| prep.summary(16))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|s| Arc::ptr_eq(s, &got[0])));
+        assert!(Arc::ptr_eq(&prep.summary(16), &got[0]));
+        assert!(!Arc::ptr_eq(&prep.summary(8), &got[0]));
     }
 }

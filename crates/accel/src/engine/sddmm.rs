@@ -39,8 +39,9 @@
 use omega_dataflow::{Dim, IntraTiling, Phase};
 
 use super::core::{
-    actual_tile, bandwidth_sweep, loop_classes, run_phase, DegreeSummary, Footprint, PhaseEngine,
-    PhaseWalk, PreparedSpmm, SpillModel, TileClass,
+    actual_tile, bandwidth_sweep, loop_classes, row_slice_runs, run_phase, split_ends,
+    DegreeSummary, Footprint, PhaseEngine, PhaseWalk, PreparedSpmm, SliceRun, SpillModel,
+    TileClass,
 };
 use super::{ChunkSide, EngineOptions, OperandClasses};
 use crate::{AccelConfig, OperandClass, PhaseStats};
@@ -323,31 +324,25 @@ impl<'a> SddmmLeaf<'a> {
         w.run_pass(steps.max(1), gb_reads, gb_writes, preload, produced, macs, m);
     }
 
-    /// The full neighbour-slice walk of one single-row `VNF` vertex (`m` rows
-    /// of identical degree batched together; `reps` unbatched head repetitions
-    /// per slice for the reference walk).
-    fn vnf_vertex(&self, w: &mut PhaseWalk, deg: usize, m: u64, reps: u64) {
-        let tn = self.shape.tn;
-        let n_red = (deg as u64).div_ceil(tn as u64).max(1) as usize;
-        for in_ in 0..n_red {
-            let lo = in_ * tn;
-            let hi = lo + tn;
-            let active = (deg.min(hi) - deg.min(lo)) as u64;
-            for _ in 0..reps {
-                self.streaming_pass(w, active, 1, in_ == 0, m);
-            }
-        }
+    /// The full neighbour-slice walk of one single-row `VNF` vertex (`m` folds
+    /// the head count and any rows of identical degree).
+    fn vnf_vertex(&self, w: &mut PhaseWalk, deg: usize, m: u64) {
+        let n_red = deg.div_ceil(self.shape.tn).max(1);
+        row_slice_runs(deg, self.shape.tn, n_red, |r| self.vnf_run(w, &r, 1, n_red, m));
     }
 
     /// The neighbour-slice walk of one `VNF` vertex-tile class (`m` folds the
     /// head count and any class multiplicity).
     fn vnf_tile_class(&self, w: &mut PhaseWalk, c: &TileClass, m: u64) {
-        let tn = self.shape.tn;
-        let summary = c.summary();
-        let n_red = (c.max as u64).div_ceil(tn as u64).max(1) as usize;
-        for in_ in 0..n_red {
-            let active = summary.active(in_ * tn, (in_ + 1) * tn);
-            self.streaming_pass(w, active, c.rows, in_ == 0, m);
+        let n_red = c.max.div_ceil(self.shape.tn).max(1);
+        c.summary().slice_runs(self.shape.tn, n_red, |r| self.vnf_run(w, &r, c.rows, n_red, m));
+    }
+
+    /// `m` tiles of `rows` rows through the slices of run `r` under `VNF`:
+    /// only the first slice preloads the pinned rows.
+    fn vnf_run(&self, w: &mut PhaseWalk, r: &SliceRun, rows: u64, n_red: usize, m: u64) {
+        for (first, len) in split_ends(r.first, r.len, n_red) {
+            self.streaming_pass(w, r.active, rows, first == 0, m * len as u64);
         }
     }
 
@@ -531,11 +526,23 @@ impl PhaseEngine for SddmmLeaf<'_> {
                     // without chunk timestamps).
                     for &(deg, m) in self.prep.classes() {
                         w.class_replays += m - 1;
-                        self.vnf_vertex(w, deg, m * s.h, 1);
+                        self.vnf_vertex(w, deg, m * s.h);
+                    }
+                } else if s.tv == 1 && !self.naive {
+                    for &deg in degrees {
+                        self.vnf_vertex(w, deg, s.h);
                     }
                 } else if s.tv == 1 {
                     for &deg in degrees {
-                        self.vnf_vertex(w, deg, m_h, reps_h);
+                        let n_red = (deg as u64).div_ceil(tn).max(1) as usize;
+                        for in_ in 0..n_red {
+                            let lo = in_ * s.tn;
+                            let hi = lo + s.tn;
+                            let active = (deg.min(hi) - deg.min(lo)) as u64;
+                            for _ in 0..reps_h {
+                                self.streaming_pass(w, active, 1, in_ == 0, m_h);
+                            }
+                        }
                     }
                 } else if self.naive {
                     for iv in 0..s.n_v {

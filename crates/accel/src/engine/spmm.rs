@@ -3,8 +3,8 @@
 use omega_dataflow::{Dim, IntraTiling, Phase};
 
 use super::core::{
-    actual_tile, run_phase, DegreeSummary, Footprint, PhaseEngine, PhaseWalk, PreparedSpmm,
-    SpillModel, TileClass,
+    actual_tile, row_slice_runs, run_phase, split_ends, DegreeSummary, Footprint, PhaseEngine,
+    PhaseWalk, PreparedSpmm, SliceRun, SpillModel, TileClass,
 };
 use super::{ChunkSide, EngineOptions, OperandClasses};
 use crate::{AccelConfig, OperandClass, PhaseStats};
@@ -240,47 +240,33 @@ impl<'a> SpmmLeaf<'a> {
     }
 
     /// The neighbour-slice walk of one vertex-tile class under VNF (`m`
-    /// identical tiles batched together).
+    /// identical tiles batched together), one batch per run of identical
+    /// slices.
     fn vnf_tile(&self, w: &mut PhaseWalk, c: &TileClass, m: u64) {
-        let tn = self.tn;
-        let summary = c.summary();
-        let n_red = (c.max as u64).div_ceil(tn as u64).max(1) as usize;
-        for in_ in 0..n_red {
-            let lo = in_ * tn;
-            let hi = lo + tn;
-            let active = summary.active(lo, hi);
-            self.reduction_middle_pass(
-                w,
-                self.n_f as u64,
-                active * self.f as u64,
-                c.rows,
-                self.f as u64,
-                in_ as u64,
-                n_red as u64,
-                active,
-                m,
-            );
-        }
+        let n_red = c.max.div_ceil(self.tn).max(1);
+        c.summary().slice_runs(self.tn, n_red, |r| self.vnf_run(w, &r, c.rows, n_red, m));
     }
 
     /// The full slice walk of one single-row vertex tile under VNF (`m` rows of
     /// identical degree `d` batched together).
     fn vnf_vertex(&self, w: &mut PhaseWalk, d: usize, m: u64) {
-        let n_red = (d as u64).div_ceil(self.tn as u64).max(1) as usize;
-        for in_ in 0..n_red {
-            let lo = in_ * self.tn;
-            let hi = lo + self.tn;
-            let active = (d.min(hi) - d.min(lo)) as u64;
+        let n_red = d.div_ceil(self.tn).max(1);
+        row_slice_runs(d, self.tn, n_red, |r| self.vnf_run(w, &r, 1, n_red, m));
+    }
+
+    /// `m` tiles of `rows` rows through the slices of run `r` under VNF.
+    fn vnf_run(&self, w: &mut PhaseWalk, r: &SliceRun, rows: u64, n_red: usize, m: u64) {
+        for (first, len) in split_ends(r.first, r.len, n_red) {
             self.reduction_middle_pass(
                 w,
                 self.n_f as u64,
-                active * self.f as u64,
-                1,
+                r.active * self.f as u64,
+                rows,
                 self.f as u64,
-                in_ as u64,
+                first as u64,
                 n_red as u64,
-                active,
-                m,
+                r.active,
+                m * len as u64,
             );
         }
     }
@@ -332,6 +318,56 @@ impl<'a> SpmmLeaf<'a> {
             gb_reads += self.spill.scale(rows_active * width);
         }
         w.run_pass(steps.max(1), gb_reads, gb_writes, 0, out, macs, m);
+    }
+
+    /// `m` histogram passes per slice of run `r`, `steps` compute steps each
+    /// over `width` feature columns.
+    fn histogram_run(
+        &self,
+        w: &mut PhaseWalk,
+        r: &SliceRun,
+        n_red: usize,
+        steps: u64,
+        width: u64,
+        m: u64,
+    ) {
+        for (first, len) in split_ends(r.first, r.len, n_red) {
+            self.histogram_pass(
+                w,
+                steps,
+                r.active,
+                width,
+                r.rows_active,
+                r.rows_finishing,
+                first as u64,
+                m * len as u64,
+            );
+        }
+    }
+
+    /// The tiles of an unchunked NVF walk that are dead: a class of `mult`
+    /// tiles with max degree `max` is alive in its first `ceil(max / T_N)`
+    /// slices and dead in the rest of the `n_red`. A dead pass carries no
+    /// edges, rows or output, so its cost does not depend on the slice
+    /// (`spill.scale(0) = 0`) and every dead tile-slice folds into one pass.
+    /// `class_replays` still counts tile replays as the slice-major walk did:
+    /// per slice with any dead tile, all but one of them.
+    fn nvf_dead(
+        &self,
+        w: &mut PhaseWalk,
+        n_red: usize,
+        classes: impl Iterator<Item = (usize, u64)>,
+    ) {
+        let (mut dead, mut min_alive) = (0u64, n_red);
+        for (max, mult) in classes {
+            let alive = max.div_ceil(self.tn);
+            dead += mult * (n_red - alive) as u64;
+            min_alive = min_alive.min(alive);
+        }
+        if dead > 0 {
+            w.class_replays += dead - (n_red - min_alive) as u64;
+            self.histogram_pass(w, self.n_f as u64, 0, self.f as u64, 0, 0, 0, dead);
+        }
     }
 }
 
@@ -448,7 +484,23 @@ impl SpmmLeaf<'_> {
                 // VNF: per v-tile, neighbour slices in the middle, F innermost.
                 if tv == 1 {
                     for &d in degrees {
-                        self.vnf_vertex(w, d, 1);
+                        let n_red = (d as u64).div_ceil(tn as u64).max(1) as usize;
+                        for in_ in 0..n_red {
+                            let lo = in_ * tn;
+                            let hi = lo + tn;
+                            let active = (d.min(hi) - d.min(lo)) as u64;
+                            self.reduction_middle_pass(
+                                w,
+                                n_f as u64,
+                                active * f as u64,
+                                1,
+                                f as u64,
+                                in_ as u64,
+                                n_red as u64,
+                                active,
+                                1,
+                            );
+                        }
                     }
                 } else {
                     for iv in 0..n_v {
@@ -562,7 +614,11 @@ impl SpmmLeaf<'_> {
     /// semantics make the batching exact); chunked runs iterate tiles in true
     /// order but read each tile's `(sum, max, rows)` and slice summary from
     /// its class in O(1), so a tile row-block's timeline is computed once per
-    /// (class, tile-shape) pair and replayed.
+    /// (class, tile-shape) pair and replayed. Within a tile, neighbour slices
+    /// fold into runs of identical slices (`DegreeSummary::slice_runs`), so a
+    /// class costs O(its distinct degrees) passes, not O(max / T_N); only
+    /// chunked NVF and chunked NFV, whose slices interleave other tiles in
+    /// time, still walk slice by slice.
     fn walk_summary(&self, w: &mut PhaseWalk) {
         let degrees = self.prep.degrees();
         let f = self.f;
@@ -620,152 +676,68 @@ impl SpmmLeaf<'_> {
                     }
                 }
             }
+            (2, 1) | (2, 0) if !w.has_chunks() => {
+                // FNV / NFV without chunk timestamps: every f-tile repeats
+                // the same global slice sequence, so the slice runs are the
+                // outer loop (order-insensitive without chunks).
+                let global = self.prep.global();
+                let n_red = global.max().div_ceil(tn).max(1);
+                global.slice_runs(tn, n_red, |r| {
+                    let steps = r.rows_active.div_ceil(tv as u64).max(1);
+                    for &(af, m) in &f_classes {
+                        self.histogram_run(w, &r, n_red, steps, af, m);
+                    }
+                });
+            }
             (2, 1) => {
                 // FNV: column granularity — per f-tile, global neighbour
-                // slices, vertices innermost (histogram model).
+                // slices, vertices innermost (histogram model). One f-tile's
+                // slices are consecutive, so their runs batch chunk-exactly.
                 let global = self.prep.global();
-                let n_red = (global.max() as u64).div_ceil(tn as u64).max(1) as usize;
-                if !w.has_chunks() {
-                    // Hoist the slice walk out of the F loop: every f-tile
-                    // repeats the same slice sequence (order-insensitive
-                    // without chunks).
-                    for in_ in 0..n_red {
-                        let lo = in_ * tn;
-                        let hi = lo + tn;
-                        let active = global.active(lo, hi);
-                        let rows_active = global.count_gt(lo);
-                        let rows_finishing = rows_active - global.count_gt(hi.saturating_sub(1));
-                        for &(af, m) in &f_classes {
-                            self.histogram_pass(
-                                w,
-                                rows_active.div_ceil(tv as u64).max(1),
-                                active,
-                                af,
-                                rows_active,
-                                rows_finishing,
-                                in_ as u64,
-                                m,
-                            );
-                        }
-                    }
-                } else {
-                    for if_ in 0..n_f {
-                        let af = actual_tile(f, tf, if_) as u64;
-                        for in_ in 0..n_red {
-                            let lo = in_ * tn;
-                            let hi = lo + tn;
-                            let active = global.active(lo, hi);
-                            let rows_active = global.count_gt(lo);
-                            let rows_finishing =
-                                rows_active - global.count_gt(hi.saturating_sub(1));
-                            self.histogram_pass(
-                                w,
-                                rows_active.div_ceil(tv as u64).max(1),
-                                active,
-                                af,
-                                rows_active,
-                                rows_finishing,
-                                in_ as u64,
-                                1,
-                            );
-                        }
-                    }
+                let n_red = global.max().div_ceil(tn).max(1);
+                for if_ in 0..n_f {
+                    let af = actual_tile(f, tf, if_) as u64;
+                    global.slice_runs(tn, n_red, |r| {
+                        let steps = r.rows_active.div_ceil(tv as u64).max(1);
+                        self.histogram_run(w, &r, n_red, steps, af, 1);
+                    });
                 }
             }
             (1, 0) => {
                 // NVF: per neighbour slice, vertex tiles in the middle (each
                 // contributing its own active edges for the slice), F innermost.
                 //
-                // A tile is *dead* in slice `in_` once its max degree is ≤ the
-                // slice base: its pass carries no edges, rows, or output —
-                // just the pipeline-bubble timing, identical for every dead
-                // tile, and every pass cost is linear in the multiplicity. So
-                // the dead tiles of each slice batch into one pass, keeping
-                // this arm O(Σ_classes ceil(max/T_N) + slices) instead of
-                // O(classes × slices) — a power-law hub otherwise drives the
-                // slice count into the thousands while almost every tile dies
-                // within the first few.
+                // Without chunk timestamps the walk is order-insensitive, so
+                // it goes class by class: a class's alive slices fold into
+                // their runs of identical slices, and every dead tile-slice
+                // into one pass (`nvf_dead`) — O(Σ_classes distinct degrees)
+                // instead of O(classes × slices), where a power-law hub
+                // otherwise drives the slice count into the thousands.
+                let (steps, width) = (n_f as u64, f as u64);
                 if tv == 1 && !w.has_chunks() {
                     let classes = self.prep.classes();
-                    let gmax = classes.last().map_or(0, |&(d, _)| d);
-                    let n_red = (gmax as u64).div_ceil(tn as u64).max(1) as usize;
-                    // Classes ascend by degree, so each slice's dead set is a
-                    // prefix; prefix-sum the multiplicities once.
-                    let mut rows_before = Vec::with_capacity(classes.len() + 1);
-                    rows_before.push(0u64);
-                    for &(_, m) in classes {
-                        rows_before.push(rows_before.last().unwrap() + m);
+                    let n_red = classes.last().map_or(0, |&(d, _)| d).div_ceil(tn).max(1);
+                    for &(d, m) in classes {
+                        let alive = d.div_ceil(tn);
+                        w.class_replays += (m - 1) * alive as u64;
+                        row_slice_runs(d, tn, alive, |r| {
+                            self.histogram_run(w, &r, alive, steps, width, m);
+                        });
                     }
-                    for in_ in 0..n_red {
-                        let lo = in_ * tn;
-                        let hi = lo + tn;
-                        let first_alive = classes.partition_point(|&(d, _)| d <= lo);
-                        let dead = rows_before[first_alive];
-                        if dead > 0 {
-                            w.class_replays += dead - 1;
-                            self.histogram_pass(w, n_f as u64, 0, f as u64, 0, 0, in_ as u64, dead);
-                        }
-                        for &(d, m) in &classes[first_alive..] {
-                            let active = (d.min(hi) - d.min(lo)) as u64;
-                            let rows_finishing = u64::from(d <= hi.saturating_sub(1));
-                            w.class_replays += m - 1;
-                            self.histogram_pass(
-                                w,
-                                n_f as u64,
-                                active,
-                                f as u64,
-                                1,
-                                rows_finishing,
-                                in_ as u64,
-                                m,
-                            );
-                        }
-                    }
+                    self.nvf_dead(w, n_red, classes.iter().copied());
                 } else if !w.has_chunks() {
                     let s = self.prep.summary(tv);
                     let classes = s.classes();
                     let gmax = classes.iter().map(|c| c.max).max().unwrap_or(0);
-                    let n_red = (gmax as u64).div_ceil(tn as u64).max(1) as usize;
-                    // Class ids sorted by max descending: each slice's alive
-                    // set is a prefix, the dead suffix one batched pass.
-                    // (Order-insensitive without chunk timestamps.)
-                    let mut by_max: Vec<u32> = (0..classes.len() as u32).collect();
-                    by_max.sort_unstable_by(|&a, &b| {
-                        classes[b as usize].max.cmp(&classes[a as usize].max)
-                    });
-                    let mut dead_after = vec![0u64; by_max.len() + 1];
-                    for i in (0..by_max.len()).rev() {
-                        dead_after[i] = dead_after[i + 1] + classes[by_max[i] as usize].mult;
+                    let n_red = gmax.div_ceil(tn).max(1);
+                    for c in classes.iter().filter(|c| c.max > 0) {
+                        let alive = c.max.div_ceil(tn);
+                        w.class_replays += (c.mult - 1) * alive as u64;
+                        c.summary().slice_runs(tn, alive, |r| {
+                            self.histogram_run(w, &r, alive, steps, width, c.mult);
+                        });
                     }
-                    for in_ in 0..n_red {
-                        let lo = in_ * tn;
-                        let hi = lo + tn;
-                        let alive = by_max.partition_point(|&id| classes[id as usize].max > lo);
-                        for &id in &by_max[..alive] {
-                            let c = &classes[id as usize];
-                            let summary = c.summary();
-                            let active = summary.active(lo, hi);
-                            let rows_active = summary.count_gt(lo);
-                            let rows_finishing =
-                                rows_active - summary.count_gt(hi.saturating_sub(1));
-                            w.class_replays += c.mult - 1;
-                            self.histogram_pass(
-                                w,
-                                n_f as u64,
-                                active,
-                                f as u64,
-                                rows_active,
-                                rows_finishing,
-                                in_ as u64,
-                                c.mult,
-                            );
-                        }
-                        let dead = dead_after[alive];
-                        if dead > 0 {
-                            w.class_replays += dead - 1;
-                            self.histogram_pass(w, n_f as u64, 0, f as u64, 0, 0, in_ as u64, dead);
-                        }
-                    }
+                    self.nvf_dead(w, n_red, classes.iter().map(|c| (c.max, c.mult)));
                 } else {
                     // Chunk timestamps pin the true tile order, but runs of
                     // consecutive tiles with identical passes (same class, or
@@ -829,10 +801,10 @@ impl SpmmLeaf<'_> {
                 }
             }
             (2, 0) => {
-                // NFV: per neighbour slice, feature tiles in the middle (each
-                // revisiting the slice's active edges over its columns), V
-                // innermost. The F loop is batched per class, preserving
-                // iteration order.
+                // NFV with chunk timestamps: per neighbour slice, feature
+                // tiles in the middle (each revisiting the slice's active
+                // edges over its columns), V innermost. The f-tiles of one
+                // slice are consecutive, so the F loop batches per class.
                 let global = self.prep.global();
                 let n_red = (global.max() as u64).div_ceil(tn as u64).max(1) as usize;
                 for in_ in 0..n_red {
@@ -1004,6 +976,52 @@ mod tests {
         assert_eq!(s.cycles, 0);
         let s = run(&[0, 0, 0], 8, &tiling("VFN", [2, 4, 1]));
         assert_eq!(s.cycles, 0);
+    }
+
+    /// NVF folds a class's slices into runs and every dead tile-slice into
+    /// one pass, yet still counts the tile replays of the slice-major walk:
+    /// per slice, `mult − 1` for each alive class and `dead − 1` for the
+    /// dead tiles when there are any.
+    #[test]
+    fn nvf_class_replays_match_the_slice_major_count() {
+        let cfg = AccelConfig::paper_default();
+        let classes = OperandClasses::aggregation_ac();
+        let opts = EngineOptions::plain(cfg.full_bandwidth());
+        let mut hub = vec![3usize; 40];
+        hub[7] = 90;
+        let degree_sets: [Vec<usize>; 3] =
+            [hub, (0..50).map(|i| 4 * (i % 9)).collect(), (0..33).map(|i| (i * 7) % 13).collect()];
+        for degrees in &degree_sets {
+            for (tv, tn) in [(1, 1), (1, 4), (3, 2), (4, 8), (5, 1)] {
+                let t = tiling("NVF", [tn, tv, 4]);
+                let prep = PreparedSpmm::new(degrees);
+                let leaf = SpmmLeaf::new(&prep, 8, &t, &cfg);
+                let tn = leaf.tn;
+                // One entry per tile: (sorted degrees = class key, max).
+                let tiles: Vec<Vec<usize>> = degrees
+                    .chunks(tv)
+                    .map(|c| {
+                        let mut k = c.to_vec();
+                        k.sort_unstable();
+                        k
+                    })
+                    .collect();
+                let n_red = degrees.iter().max().unwrap().div_ceil(tn).max(1);
+                let mut want = 0u64;
+                for s in 0..n_red {
+                    let alive: Vec<&Vec<usize>> =
+                        tiles.iter().filter(|k| *k.last().unwrap() > s * tn).collect();
+                    let mut keys = alive.clone();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    want += (alive.len() - keys.len()) as u64;
+                    let dead = (tiles.len() - alive.len()) as u64;
+                    want += dead.saturating_sub(1);
+                }
+                let got = super::super::core::walk_class_replays(&leaf, &classes, &opts);
+                assert_eq!(got, want, "degrees={degrees:?} tv={tv} tn={tn}");
+            }
+        }
     }
 
     #[test]

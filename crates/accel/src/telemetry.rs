@@ -13,8 +13,11 @@
 //! * [`class_replays`] — a **process-wide monotone** count of tile passes that
 //!   were *replayed* from a batched degree/tile class instead of being walked
 //!   (a class covering `m` identical tiles costs one timeline computation and
-//!   `m − 1` replays). The CI scale smoke asserts it is non-zero after an
-//!   RMAT sweep — proof the summary-driven path actually engaged.
+//!   `m − 1` replays). It counts *tile* replays, not folded neighbour
+//!   slices: batching a run of identical slices into one pass adds nothing
+//!   to it, so the value does not depend on how the slices fold. The CI
+//!   scale smoke pins its rmat-18 value — proof the summary-driven path
+//!   engaged and its work did not move.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

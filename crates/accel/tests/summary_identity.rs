@@ -11,7 +11,8 @@
 //!   [`omega_graph::scale::sample_subgraph`] to keep the O(nnz) oracle
 //!   tractable),
 //! * adversarial degree vectors — star hubs, rings, bimodal mixes, empty
-//!   rows, a lone mega-hub, and the empty workload,
+//!   rows, a lone mega-hub, degrees on neighbour-slice boundaries, and the
+//!   empty workload,
 //! * all SpMM loop orders, SDDMM orders and head counts, a tiling spread with
 //!   remainder tiles, chunked timelines on both sides, residency flags,
 //!   throttled bandwidth, and finite capacity budgets that force spills,
@@ -40,7 +41,10 @@ fn tiling(phase: Phase, order: &str, tiles: [usize; 3]) -> IntraTiling {
 
 const SPMM_ORDERS: [&str; 6] = ["VFN", "FVN", "VNF", "FNV", "NVF", "NFV"];
 const SDDMM_ORDERS: [&str; 3] = ["VFN", "VNF", "FVN"];
-const TILINGS: [[usize; 3]; 4] = [[1, 1, 1], [4, 4, 2], [16, 8, 4], [5, 3, 2]];
+/// Tile sizes in loop order. The last point puts `T_N = 8` under every order,
+/// so the folded slice runs span several slices, next to remainder tiles
+/// (`F = 19`, odd vertex counts).
+const TILINGS: [[usize; 3]; 5] = [[1, 1, 1], [4, 4, 2], [16, 8, 4], [5, 3, 2], [8, 8, 8]];
 
 /// Field-by-field equality. `PhaseStats` has no `PartialEq` on purpose: every
 /// new cost-model field must be added here explicitly or the compiler keeps
@@ -162,12 +166,15 @@ fn adversarial_vectors() -> Vec<(&'static str, Vec<usize>)> {
     let holes: Vec<usize> = (0..80).map(|i| if i % 3 == 0 { 0 } else { 5 + i % 7 }).collect();
     let mut lone_hub = vec![0usize; 97];
     lone_hub[41] = 500;
+    // Degrees on slice boundaries (`d == hi`) for every `T_N` dividing 4.
+    let multiples: Vec<usize> = (0..64).map(|i| 4 * (i % 9)).collect();
     vec![
         ("star", star),
         ("ring", vec![3usize; 64]),
         ("bimodal", bimodal),
         ("holes", holes),
         ("lone-hub", lone_hub),
+        ("multiples", multiples),
         ("single-row", vec![7usize]),
         ("empty", Vec::new()),
     ]
@@ -215,7 +222,7 @@ proptest! {
         edges in 1usize..600,
         seed in 0u64..1024,
         order_idx in 0usize..6,
-        tiling_idx in 0usize..4,
+        tiling_idx in 0usize..TILINGS.len(),
         opt_idx in 0usize..72,
     ) {
         let g = chung_lu("cl", n, edges, 2.3, 4, seed).build();

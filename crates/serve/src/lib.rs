@@ -173,10 +173,20 @@ impl WorkloadSpec {
                 self.v
             ));
         }
+        // A CSR row stores at most `v` non-zeros (self loop included), which
+        // also keeps the `nnz` sum and the engines' `u32` degree classes in
+        // range.
         let degrees: Vec<usize> = match &self.degrees {
             Some(d) => {
                 if d.len() != self.v {
                     return Err(format!("degrees length {} != v {}", d.len(), self.v));
+                }
+                if let Some((i, &deg)) = d.iter().enumerate().find(|&(_, &deg)| deg > self.v) {
+                    return Err(format!(
+                        "degrees[{i}] = {deg} is out of range (a row holds at most v = {} \
+                         non-zeros)",
+                        self.v
+                    ));
                 }
                 d.clone()
             }
@@ -184,6 +194,13 @@ impl WorkloadSpec {
                 let mean = self.mean_degree.unwrap_or(1.0);
                 if !mean.is_finite() || mean < 0.0 {
                     return Err(format!("mean_degree {mean} must be finite and >= 0"));
+                }
+                if mean > self.v as f64 {
+                    return Err(format!(
+                        "mean_degree {mean} is out of range (a row holds at most v = {} \
+                         non-zeros)",
+                        self.v
+                    ));
                 }
                 vec![(mean.round() as usize).max(1); self.v]
             }
@@ -1321,6 +1338,32 @@ mod tests {
         let served = ask(1 << 20);
         assert!(served.ok, "v = 2^20: {:?}", served.error);
         assert!(served.best.is_some());
+    }
+
+    #[test]
+    fn out_of_range_degrees_are_refused() {
+        let server = test_server();
+        let ask = |workload: &str| -> MapResponse {
+            let line = format!(r#"{{"workload":{workload}}}"#);
+            serde_json::from_str(&server.handle_line(&line)).unwrap()
+        };
+        // 1e300 would saturate every degree to usize::MAX and overflow nnz.
+        let huge = ask(r#"{"v":4,"f":16,"g":16,"mean_degree":1e300}"#);
+        assert!(!huge.ok, "a 1e300 mean degree was served");
+        let error = huge.error.unwrap_or_default();
+        assert!(error.contains("at most v = 4"), "error `{error}` does not name the limit");
+        let wide = ask(r#"{"v":4,"f":16,"g":16,"degrees":[1,2,5,1]}"#);
+        assert!(!wide.ok, "a degree above v was served");
+        let error = wide.error.unwrap_or_default();
+        assert!(error.contains("degrees[2] = 5") && error.contains("at most v = 4"), "{error}");
+        for workload in [
+            r#"{"v":4,"f":16,"g":16,"degrees":[4,1,4,2]}"#,
+            r#"{"v":4,"f":16,"g":16,"mean_degree":4}"#,
+        ] {
+            let served = ask(workload);
+            assert!(served.ok, "{workload}: {:?}", served.error);
+            assert!(served.best.is_some());
+        }
     }
 
     #[test]
