@@ -91,7 +91,9 @@ impl ElementwiseWorkload {
 ///
 /// Accepts either phase's tiling shape: the vertex tile is `T_V`, the width
 /// tile is `T_F` (Aggregation) or `T_G` (Combination) — whichever matrix the
-/// phase post-processes. Any loop order is legal.
+/// phase post-processes. Any loop order is legal. `opts.reference_walk`
+/// visits every vertex tile with multiplicity 1 instead of batching the
+/// uniform ones (the property tests assert the two are bit-identical).
 pub fn simulate_elementwise(
     wl: &ElementwiseWorkload,
     tiling: &IntraTiling,
@@ -99,22 +101,7 @@ pub fn simulate_elementwise(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
-    simulate_elementwise_inner(wl, tiling, cfg, classes, opts, false)
-}
-
-/// Shared body of the batched leaf and the naive per-tile reference walk
-/// (`naive = true` visits every vertex tile with multiplicity 1; the property
-/// tests assert the two are bit-identical).
-fn simulate_elementwise_inner(
-    wl: &ElementwiseWorkload,
-    tiling: &IntraTiling,
-    cfg: &AccelConfig,
-    classes: &OperandClasses,
-    opts: &EngineOptions,
-    naive: bool,
-) -> PhaseStats {
-    let leaf = ElementwiseLeaf::new(wl, tiling, naive);
-    run_phase(&leaf, cfg, classes, opts)
+    run_phase(&ElementwiseLeaf::new(wl, tiling), cfg, classes, opts)
 }
 
 /// The elementwise leaf: a streaming sweep (or two) per vertex tile.
@@ -124,14 +111,13 @@ struct ElementwiseLeaf<'a> {
     tv: usize,
     tw: usize,
     n_v: usize,
-    naive: bool,
 }
 
 impl<'a> ElementwiseLeaf<'a> {
-    fn new(wl: &'a ElementwiseWorkload, tiling: &'a IntraTiling, naive: bool) -> Self {
+    fn new(wl: &'a ElementwiseWorkload, tiling: &'a IntraTiling) -> Self {
         if wl.rows == 0 || wl.width == 0 {
             // Degenerate: `run_phase` short-circuits before reading these.
-            return ElementwiseLeaf { wl, tiling, tv: 1, tw: 1, n_v: 0, naive };
+            return ElementwiseLeaf { wl, tiling, tv: 1, tw: 1, n_v: 0 };
         }
         let wdim = match tiling.phase() {
             Phase::Aggregation => Dim::F,
@@ -140,7 +126,7 @@ impl<'a> ElementwiseLeaf<'a> {
         let tv = tiling.tile_of(Dim::V).min(wl.rows);
         let tw = tiling.tile_of(wdim).min(wl.width);
         let n_v = wl.rows.div_ceil(tv);
-        ElementwiseLeaf { wl, tiling, tv, tw, n_v, naive }
+        ElementwiseLeaf { wl, tiling, tv, tw, n_v }
     }
 
     /// One streaming sweep over `m` identical vertex tiles of `av` rows:
@@ -223,8 +209,8 @@ impl PhaseEngine for ElementwiseLeaf<'_> {
         // Vertex tiles are uniform except the remainder tile, so the engine
         // walk batches them via `loop_classes`. With chunk timestamps the
         // multi-sweep passes of distinct tiles interleave in true order, so
-        // the walk goes per index (the naive reference always does).
-        if self.naive || w.has_chunks() {
+        // the walk goes per index, as the per-tile reference walk always does.
+        if w.opts.reference_walk || w.has_chunks() {
             for iv in 0..self.n_v {
                 self.visit_tile(w, iv, 1);
             }
@@ -361,7 +347,8 @@ mod tests {
             };
             let classes = OperandClasses::elementwise_on(OperandClass::Output);
             let fast = simulate_elementwise(&wl, &t, &cfg, &classes, &opts);
-            let slow = simulate_elementwise_inner(&wl, &t, &cfg, &classes, &opts, true);
+            opts.reference_walk = true;
+            let slow = simulate_elementwise(&wl, &t, &cfg, &classes, &opts);
             prop_assert_eq!(fast.cycles, slow.cycles);
             prop_assert_eq!(fast.stall_cycles, slow.stall_cycles);
             prop_assert_eq!(fast.macs, slow.macs);

@@ -113,23 +113,6 @@ pub fn simulate_sddmm_prepared(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
-    simulate_sddmm_inner(prep, dot_width, heads, tiling, cfg, classes, opts, false)
-}
-
-/// Shared body of the batched leaf and the naive per-pass reference walk
-/// (`naive = true` visits every index and head with multiplicity 1; the tests
-/// assert the two are bit-identical).
-#[allow(clippy::too_many_arguments)]
-fn simulate_sddmm_inner(
-    prep: &PreparedSpmm<'_>,
-    dot_width: usize,
-    heads: usize,
-    tiling: &IntraTiling,
-    cfg: &AccelConfig,
-    classes: &OperandClasses,
-    opts: &EngineOptions,
-    naive: bool,
-) -> PhaseStats {
     assert_eq!(tiling.phase(), Phase::Aggregation, "SDDMM engine needs a V/F/N tiling");
     let order = tiling.order();
     let pos_v = order.position(Dim::V).expect("V is an SDDMM dim");
@@ -138,9 +121,8 @@ fn simulate_sddmm_inner(
         pos_v < pos_n,
         "SDDMM loop order {order} puts N before V; gate with omega_dataflow::validate_sddmm"
     );
-    // `EngineOptions::reference_walk` routes through the same per-pass oracle
-    // the tests' `naive` flag does.
-    let leaf = SddmmLeaf::new(prep, dot_width, heads, tiling, cfg, naive || opts.reference_walk);
+    // `EngineOptions::reference_walk` routes through the per-pass oracle.
+    let leaf = SddmmLeaf::new(prep, dot_width, heads, tiling, cfg, opts.reference_walk);
     run_phase(&leaf, cfg, classes, opts)
 }
 
@@ -639,16 +621,10 @@ mod tests {
         cfg: &AccelConfig,
         opts: &EngineOptions,
     ) -> PhaseStats {
-        simulate_sddmm_inner(
-            &PreparedSpmm::new(degrees),
-            d,
-            h,
-            t,
-            cfg,
-            &OperandClasses::sddmm(),
-            opts,
-            true,
-        )
+        let mut opts = *opts;
+        opts.reference_walk = true;
+        let wl = SddmmWorkload { degrees, dot_width: d, heads: h };
+        simulate_sddmm(&wl, t, cfg, &OperandClasses::sddmm(), &opts)
     }
 
     const SUPPORTED_ORDERS: [&str; 3] = ["VFN", "VNF", "FVN"];

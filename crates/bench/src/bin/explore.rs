@@ -487,7 +487,7 @@ fn run_model(
         pareto: args.pareto,
         ..ModelDseOptions::default()
     };
-    let outcome = explore_model(model, workload, cfg, &opts, DseCache::global());
+    let outcome = explore_model(model, workload, cfg, &opts, &DseCache::new());
 
     println!(
         "model     {} ({} layers) on {} (V={}, F={}, nnz={}), generated in {:.2} s",

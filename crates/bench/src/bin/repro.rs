@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use omega_bench::{figures, insights, render, sweep, tables};
+use omega_core::dse::DseCache;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,6 +33,9 @@ fn main() -> ExitCode {
     } else {
         args
     };
+    // One exhaustive-search cache for the run: the sweep, preset-gap and
+    // model-level studies share layer shapes, so none is searched twice.
+    let cache = DseCache::new();
 
     for name in &selected {
         match name.as_str() {
@@ -75,19 +79,19 @@ fn main() -> ExitCode {
                 &out_dir,
                 name,
                 "Graph-property sweep: where the best dataflow flips",
-                &sweep::sweep(),
+                &sweep::sweep_with_cache(&cache),
             ),
             "preset_gap" => emit(
                 &out_dir,
                 name,
                 "Preset gap: best Table V preset vs the exhaustive 6,656-space optimum",
-                &insights::preset_gap(),
+                &insights::preset_gap(&cache),
             ),
             "model_dse" => emit(
                 &out_dir,
                 name,
                 "Model-level DSE: per-layer-specialised + pipelined chains vs best uniform preset",
-                &insights::model_gap(),
+                &insights::model_gap(&cache),
             ),
             "capacity_study" => emit(
                 &out_dir,

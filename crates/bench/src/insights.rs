@@ -342,10 +342,10 @@ pub struct PresetGapRow {
 }
 
 /// The preset-gap study over a subset of the Table IV suite (`datasets` by
-/// name; unknown names are ignored). Exhaustive outcomes come from the shared
-/// [`DseCache`], so re-running the study (or mixing it with the sweeps) never
-/// re-searches a workload.
-pub fn preset_gap_for(datasets: &[&str]) -> Vec<PresetGapRow> {
+/// name; unknown names are ignored). Exhaustive outcomes come from `cache`,
+/// so re-running the study (or mixing it with the sweeps) never re-searches a
+/// workload.
+pub fn preset_gap_for(datasets: &[&str], cache: &DseCache) -> Vec<PresetGapRow> {
     let cfg = AccelConfig::paper_default();
     default_suite()
         .into_iter()
@@ -356,7 +356,7 @@ pub fn preset_gap_for(datasets: &[&str]) -> Vec<PresetGapRow> {
                 .map(|p| (p.name.to_string(), eval_preset(p, &wl, &cfg).report.total_cycles))
                 .min_by_key(|&(_, c)| c)
                 .expect("presets evaluated");
-            let outcome = DseCache::global().explore(
+            let outcome = cache.explore(
                 &wl,
                 &cfg,
                 &DseOptions { top_k: 1, ..DseOptions::new(Objective::Runtime) },
@@ -378,10 +378,10 @@ pub fn preset_gap_for(datasets: &[&str]) -> Vec<PresetGapRow> {
 }
 
 /// The preset-gap study over the full seven-dataset suite.
-pub fn preset_gap() -> Vec<PresetGapRow> {
+pub fn preset_gap(cache: &DseCache) -> Vec<PresetGapRow> {
     let suite = default_suite();
     let names: Vec<&str> = suite.iter().map(|(d, _)| d.name()).collect();
-    preset_gap_for(&names)
+    preset_gap_for(&names, cache)
 }
 
 /// One (model × dataset) row of the model-level DSE study: the best uniform
@@ -416,9 +416,9 @@ pub struct ModelGapRow {
 }
 
 /// The model-level DSE study over explicit (model, dataset) cases. Layer-level
-/// searches go through the shared [`DseCache`], so rows over the same layer
-/// shapes (and reruns) never re-search the 6,656-pattern space.
-pub fn model_gap_for(cases: &[(GnnModelCase, &str)]) -> Vec<ModelGapRow> {
+/// searches go through `cache`, so rows over the same layer shapes (and
+/// reruns) never re-search the 6,656-pattern space.
+pub fn model_gap_for(cases: &[(GnnModelCase, &str)], cache: &DseCache) -> Vec<ModelGapRow> {
     use omega_core::dse::model::{explore_model, ModelDseOptions};
 
     let cfg = AccelConfig::paper_default();
@@ -429,7 +429,7 @@ pub fn model_gap_for(cases: &[(GnnModelCase, &str)]) -> Vec<ModelGapRow> {
             let (_, wl) = suite.iter().find(|(d, _)| d.name() == *dataset)?;
             let model = case.build();
             let opts = ModelDseOptions { threads: 4, ..Default::default() };
-            let out = explore_model(&model, wl, &cfg, &opts, DseCache::global());
+            let out = explore_model(&model, wl, &cfg, &opts, cache);
             let gap = out.model_gap()?;
             let best = out.best()?;
             let uniform = out.uniform.as_ref()?;
@@ -478,17 +478,20 @@ impl GnnModelCase {
 /// The default model-gap study: citation-style node classification (Cora,
 /// Citeseer) under GCN-2/GraphSAGE-2/GAT-2, and graph classification (Mutag,
 /// Proteins) under GCN-2/GIN-3/GAT-2 — all three phase types covered.
-pub fn model_gap() -> Vec<ModelGapRow> {
-    model_gap_for(&[
-        (GnnModelCase::Gcn2, "Cora"),
-        (GnnModelCase::Gcn2, "Citeseer"),
-        (GnnModelCase::Sage2, "Cora"),
-        (GnnModelCase::Gcn2, "Mutag"),
-        (GnnModelCase::Gin3, "Mutag"),
-        (GnnModelCase::Gin3, "Proteins"),
-        (GnnModelCase::Gat2, "Cora"),
-        (GnnModelCase::Gat2, "Mutag"),
-    ])
+pub fn model_gap(cache: &DseCache) -> Vec<ModelGapRow> {
+    model_gap_for(
+        &[
+            (GnnModelCase::Gcn2, "Cora"),
+            (GnnModelCase::Gcn2, "Citeseer"),
+            (GnnModelCase::Sage2, "Cora"),
+            (GnnModelCase::Gcn2, "Mutag"),
+            (GnnModelCase::Gin3, "Mutag"),
+            (GnnModelCase::Gin3, "Proteins"),
+            (GnnModelCase::Gat2, "Cora"),
+            (GnnModelCase::Gat2, "Mutag"),
+        ],
+        cache,
+    )
 }
 
 #[cfg(test)]
@@ -499,11 +502,14 @@ mod model_gap_tests {
     fn model_gap_bounds_and_specialisation_win() {
         // Small-graph subset keeps the per-layer exhaustive searches quick; the
         // repro binary runs the full study.
-        let rows = model_gap_for(&[
-            (GnnModelCase::Gcn2, "Mutag"),
-            (GnnModelCase::Gin3, "Mutag"),
-            (GnnModelCase::Gat2, "Mutag"),
-        ]);
+        let rows = model_gap_for(
+            &[
+                (GnnModelCase::Gcn2, "Mutag"),
+                (GnnModelCase::Gin3, "Mutag"),
+                (GnnModelCase::Gat2, "Mutag"),
+            ],
+            &DseCache::new(),
+        );
         assert_eq!(rows.len(), 3);
         for r in &rows {
             // The joint winner can never lose to a uniform preset (they are
@@ -655,7 +661,7 @@ mod preset_gap_tests {
     fn preset_gap_bounds_and_coverage() {
         // Small-graph subset keeps the exhaustive searches quick; the repro
         // binary runs the full suite.
-        let rows = preset_gap_for(&["Mutag", "Proteins", "Imdb-bin"]);
+        let rows = preset_gap_for(&["Mutag", "Proteins", "Imdb-bin"], &DseCache::new());
         assert_eq!(rows.len(), 3);
         for r in &rows {
             // The search covers the whole space plus the preset seeds (pruned

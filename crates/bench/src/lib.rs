@@ -2,8 +2,7 @@
 //!
 //! Each `figNN`/`tableN` function regenerates one artifact as plain data rows
 //! (all `serde`-serialisable); [`render`] pretty-prints them and the `repro`
-//! binary writes CSV/JSON under `results/`. Criterion benches in `benches/`
-//! wrap the same functions. See `EXPERIMENTS.md` for paper-vs-measured notes.
+//! binary writes CSV/JSON under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

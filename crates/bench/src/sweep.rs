@@ -85,14 +85,9 @@ fn row(knob: &str, value: f64, wl: &GnnWorkload, cfg: &AccelConfig, cache: &DseC
     }
 }
 
-/// Regenerates the graph-property sweep, using the process-wide [`DseCache`]
-/// for the exhaustive optima.
-pub fn sweep() -> Vec<SweepRow> {
-    sweep_with_cache(DseCache::global())
-}
-
-/// [`sweep`] with an explicit exhaustive-search cache (tests inject a local
-/// one to observe hit behaviour without cross-test interference).
+/// Regenerates the graph-property sweep; `cache` serves the exhaustive optima,
+/// so a repeated sweep (or one sharing a cache with the other studies) never
+/// re-searches a workload.
 pub fn sweep_with_cache(cache: &DseCache) -> Vec<SweepRow> {
     let cfg = AccelConfig::paper_default();
     let mut rows = Vec::new();
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_three_knobs() {
-        let rows = sweep();
+        let rows = sweep_with_cache(&DseCache::new());
         assert_eq!(rows.len(), 12);
         for knob in ["density", "features", "skew"] {
             assert_eq!(rows.iter().filter(|r| r.knob == knob).count(), 4, "{knob}");
@@ -160,8 +155,7 @@ mod tests {
 
     #[test]
     fn repeated_sweeps_hit_the_dse_cache() {
-        // A local cache isolates this from other tests sharing the global one;
-        // the searches counter is the observable (a re-search of a known
+        // The searches counter is the observable (a re-search of a known
         // workload would not change len()).
         let cache = DseCache::new();
         let first = sweep_with_cache(&cache);

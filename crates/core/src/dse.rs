@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -1183,20 +1183,6 @@ impl DseCache {
         }
     }
 
-    /// The process-wide shared cache (used by the bench sweeps and the
-    /// serving path). Capacity defaults to [`DEFAULT_CACHE_CAPACITY`];
-    /// the `OMEGA_DSE_CACHE_CAP` environment variable overrides it.
-    pub fn global() -> &'static DseCache {
-        static GLOBAL: OnceLock<DseCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cap = std::env::var("OMEGA_DSE_CACHE_CAP")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_CACHE_CAPACITY);
-            DseCache::with_capacity(cap)
-        })
-    }
-
     /// Cached entries.
     pub fn len(&self) -> usize {
         lock_recover(&self.state).entries.len()
@@ -1467,40 +1453,36 @@ impl DseCache {
     /// Merges the entries persisted at `path` into this cache (evicting LRU
     /// entries if the merge exceeds capacity). Returns how many entries the
     /// file held. Fails with `InvalidData` on a version mismatch, a malformed
-    /// or truncated file, or a checksum-footer mismatch — serving processes
+    /// or truncated file, a missing checksum footer, or a checksum-footer
+    /// mismatch — serving processes
     /// that must survive a corrupt file wrap this in
     /// [`Self::load_or_quarantine`].
     pub fn load_into(&self, path: &Path) -> io::Result<usize> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let text = std::fs::read_to_string(path)?;
-        // Footer-bearing layout: `<payload JSON>\n<footer JSON>\n`. A file
-        // without a parseable footer line falls back to parsing the whole
-        // text as a (pre-checksum, PR 8) payload — truncation or corruption
-        // then surfaces as a JSON parse error.
+        // Layout: `<payload JSON>\n<footer JSON>\n`. Every file this format
+        // version was ever written with carries the footer, so a missing or
+        // unparseable footer line means the file was cut short.
         let stripped = text.trim_end_matches(['\n', '\r']);
-        let payload: &str = match stripped
+        let (payload, footer) = stripped
             .rfind('\n')
             .map(|i| (&stripped[..i], &stripped[i + 1..]))
             .and_then(|(body, tail)| {
                 serde_json::from_str::<PersistedFooter>(tail).ok().map(|f| (body, f))
-            }) {
-            Some((body, footer)) => {
-                if footer.bytes != body.len() as u64 {
-                    return Err(invalid(format!(
-                        "cache file truncated: footer expects {} payload bytes, found {}",
-                        footer.bytes,
-                        body.len()
-                    )));
-                }
-                if footer.crc64 != fnv1a_64(body.as_bytes()) {
-                    return Err(invalid(
-                        "cache file corrupted: payload checksum does not match footer".into(),
-                    ));
-                }
-                body
-            }
-            None => stripped,
-        };
+            })
+            .ok_or_else(|| invalid("cache file truncated: no checksum footer".into()))?;
+        if footer.bytes != payload.len() as u64 {
+            return Err(invalid(format!(
+                "cache file truncated: footer expects {} payload bytes, found {}",
+                footer.bytes,
+                payload.len()
+            )));
+        }
+        if footer.crc64 != fnv1a_64(payload.as_bytes()) {
+            return Err(invalid(
+                "cache file corrupted: payload checksum does not match footer".into(),
+            ));
+        }
         let parsed: PersistedCache = serde_json::from_str(payload)
             .map_err(|e| invalid(format!("bad cache file: {e}")))?;
         if parsed.version != CACHE_FILE_VERSION {
@@ -1952,14 +1934,24 @@ mod tests {
             "persisted cache not byte-stable across a load/save cycle"
         );
 
-        // Version mismatches are rejected instead of misread.
+        // Version mismatches are rejected instead of misread. The bumped
+        // payload gets a matching footer, so the version check (not the
+        // length or checksum check) is what fires.
         let text = std::fs::read_to_string(&path).unwrap();
+        let payload = text.lines().next().unwrap();
         let bumped =
-            text.replacen(&format!("\"version\":{CACHE_FILE_VERSION}"), "\"version\":999", 1);
-        assert_ne!(text, bumped, "version field not found in persisted file");
-        std::fs::write(&path, bumped).unwrap();
+            payload.replacen(&format!("\"version\":{CACHE_FILE_VERSION}"), "\"version\":999", 1);
+        assert_ne!(payload, bumped, "version field not found in persisted file");
+        let footer = PersistedFooter {
+            omega_cache_footer: CACHE_FILE_VERSION,
+            crc64: fnv1a_64(bumped.as_bytes()),
+            bytes: bumped.len() as u64,
+        };
+        let footer = serde_json::to_string(&footer).unwrap();
+        std::fs::write(&path, format!("{bumped}\n{footer}\n")).unwrap();
         let err = DseCache::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 999"), "{err}");
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
@@ -2113,6 +2105,19 @@ mod tests {
         let err = DseCache::new().load_into(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
+
+        // The footer line deleted: the payload alone is well-formed JSON, but
+        // without its footer neither its length nor its checksum can be
+        // checked, so it is refused rather than trusted.
+        let payload = good.lines().next().unwrap();
+        std::fs::write(&path, format!("{payload}\n")).unwrap();
+        let err = DseCache::new().load_into(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("footer"), "{err}");
+        let quarantine = path.with_extension("quarantined");
+        let report = DseCache::new().load_or_quarantine(&path).expect("quarantine");
+        assert_eq!(report.quarantined.as_deref(), Some(quarantine.as_path()));
+        let _ = std::fs::remove_file(&quarantine);
 
         // Garbage that was never a cache file.
         std::fs::write(&path, "!!! not a cache file !!!").unwrap();

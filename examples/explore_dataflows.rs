@@ -27,7 +27,7 @@ fn main() {
         workload.name
     );
 
-    let cache = DseCache::global();
+    let cache = DseCache::new();
     for objective in [Objective::Runtime, Objective::Energy, Objective::Edp] {
         let out = cache.explore(
             &workload,

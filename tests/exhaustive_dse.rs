@@ -35,6 +35,14 @@ fn explore_key(out: &dse::ExploreOutcome) -> RankKey {
     rank_key(&out.ranked, |r| r.pattern_index)
 }
 
+/// `explore_model`'s ranked output: (mapping, score bits, cycles, index).
+fn model_key(out: &dse::model::ModelExploreOutcome) -> Vec<(String, u64, u64, Option<usize>)> {
+    out.ranked
+        .iter()
+        .map(|r| (r.mapping.to_string(), r.score.to_bits(), r.report.total_cycles, r.index))
+        .collect()
+}
+
 /// The sweep's oracle: the first `n` entries of `mapper::rank` over every
 /// sweep candidate, each pattern index recovered from its list position.
 fn reference_key(
@@ -129,15 +137,9 @@ fn model_explore_winners_are_thread_count_invariant() {
     let b = run(2);
     let c = run(8);
     // Bit-identical ranked winners regardless of worker count.
-    let key = |o: &ModelExploreOutcome| -> Vec<(String, u64, Option<usize>)> {
-        o.ranked
-            .iter()
-            .map(|r| (format!("{}", r.mapping), r.report.total_cycles, r.index))
-            .collect()
-    };
     assert!(!a.ranked.is_empty());
-    assert_eq!(key(&a), key(&b));
-    assert_eq!(key(&a), key(&c));
+    assert_eq!(model_key(&a), model_key(&b));
+    assert_eq!(model_key(&a), model_key(&c));
     assert_eq!((a.evaluated, a.skipped, a.space), (b.evaluated, b.skipped, b.space));
     assert_eq!((a.evaluated, a.skipped, a.space), (c.evaluated, c.skipped, c.space));
 }
@@ -313,27 +315,97 @@ fn explore_work_counters_are_thread_invariant() {
                 work_counters(&other),
                 "{objective:?}/pareto={pareto}: 1 vs {threads} threads"
             );
-            assert_eq!(ranked_key(&one), ranked_key(&other));
+            assert_eq!(explore_key(&one), explore_key(&other));
         }
     }
 }
 
-/// Ranked-list key capturing everything a DSE consumer can observe: dataflow,
-/// tile tuple, f64-bit score, cycles, energy bits, and the pattern index.
-fn ranked_key(o: &dse::ExploreOutcome) -> Vec<(String, String, u64, u64, u64, Option<usize>)> {
-    o.ranked
-        .iter()
-        .map(|r| {
-            (
-                r.dataflow.to_string(),
-                format!("{:?}", r.dataflow.tile_tuple()),
-                r.score.to_bits(),
-                r.report.total_cycles,
-                r.report.energy.total_pj().to_bits(),
-                r.pattern_index,
-            )
-        })
-        .collect()
+/// FNV-1a over `text`: a compact pin for a ranked list's debug form.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// `explore`'s CLI defaults: the dataset seed, hidden width and top-K.
+const CLI_SEED: u64 = 0x0E5A_2022;
+const CLI_HIDDEN: usize = 16;
+const CLI_TOP: usize = 10;
+
+/// The pinned work of one canonical run: `(evaluated, pruned, skipped,
+/// seeded, phase_sims, phase_cache_hits, frontier points, ranked digest)`.
+type WorkPins = (usize, usize, usize, usize, usize, usize, usize, u64);
+
+#[test]
+fn explore_work_counters_are_pinned() {
+    // The deterministic work accounting is this repository's performance
+    // record: every counter below equals what `explore --json` prints for
+    // the run at the CLI defaults, at any thread count. A change that moves
+    // one of them updates the pin and explains the move in CHANGES.md.
+    // (`class_replays` is a process-wide delta, so tests running in parallel
+    // inflate it; the CI rmat-18 step pins it in a process of its own.)
+    let hw = AccelConfig::paper_default();
+    let runs: [(&str, bool, WorkPins); 5] = [
+        ("Mutag", false, (716, 5952, 0, 12, 66, 1366, 0, 0x5540_25cd_2b57_bc46)),
+        ("Proteins", false, (716, 5952, 0, 12, 66, 1366, 0, 0xeeba_9eca_2a2b_17c1)),
+        ("Citeseer", false, (1068, 5600, 0, 12, 79, 2057, 0, 0xdbd6_bd8d_7ab0_14f0)),
+        ("Mutag", true, (6668, 0, 0, 12, 713, 12623, 105, 0x5540_25cd_2b57_bc46)),
+        ("rmat-16", false, (892, 5776, 0, 12, 74, 1710, 0, 0x6513_8091_6b98_3bc5)),
+    ];
+    for (dataset, pareto, want) in runs {
+        // The CLI's resolution: Table IV first, then the scale family.
+        let workload = match DatasetSpec::by_name(dataset) {
+            Some(spec) => GnnWorkload::gcn_layer(&spec.generate(CLI_SEED), CLI_HIDDEN),
+            None => {
+                let graph = omega_gnn::graph::scale_graph(dataset, CLI_SEED).expect("scale name");
+                GnnWorkload::from_graph(&graph, CLI_HIDDEN)
+            }
+        };
+        for threads in [1, 2] {
+            let o = dse::explore(
+                &workload,
+                &hw,
+                &DseOptions { threads, pareto, top_k: CLI_TOP, ..DseOptions::default() },
+            );
+            let got = (
+                o.evaluated,
+                o.pruned,
+                o.skipped,
+                o.seeded,
+                o.phase_sims,
+                o.phase_cache_hits,
+                o.frontier.len(),
+                fnv1a(&format!("{:?}", explore_key(&o))),
+            );
+            assert_eq!(got, want, "{dataset} pareto={pareto} at {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn model_work_counters_are_pinned() {
+    use omega_gnn::core::dse::model::{explore_model, ModelDseOptions};
+    use omega_gnn::core::models::GnnModel;
+
+    // `explore --model gat --dataset Cora --pareto` at the CLI defaults: the
+    // joint Pareto search through the SDDMM, SpMM and GEMM engines.
+    let workload = GnnWorkload::gcn_layer(&DatasetSpec::cora().generate(CLI_SEED), CLI_HIDDEN);
+    let o = explore_model(
+        &GnnModel::gat_2layer(8, 7),
+        &workload,
+        &AccelConfig::paper_default(),
+        &ModelDseOptions { threads: 2, top_k: CLI_TOP, pareto: true, ..ModelDseOptions::default() },
+        &DseCache::new(),
+    );
+    let got = (
+        o.evaluated,
+        o.skipped,
+        o.seeded,
+        o.phase_sims,
+        o.phase_cache_hits,
+        o.ranked.len(),
+        o.frontier.len(),
+        fnv1a(&format!("{:?}", model_key(&o))),
+    );
+    assert_eq!(got, (169, 0, 9, 850, 10724, 10, 20, 0xe2db_f321_961e_7353));
 }
 
 #[test]
@@ -357,9 +429,9 @@ fn scale_dataset_explore_is_thread_and_prune_invariant() {
     let eight = run(8, true);
     let brute = run(2, false);
     assert_eq!(one.space, 6656);
-    assert_eq!(ranked_key(&one), ranked_key(&two));
-    assert_eq!(ranked_key(&one), ranked_key(&eight));
-    assert_eq!(ranked_key(&one), ranked_key(&brute));
+    assert_eq!(explore_key(&one), explore_key(&two));
+    assert_eq!(explore_key(&one), explore_key(&eight));
+    assert_eq!(explore_key(&one), explore_key(&brute));
     assert_eq!(one.evaluated + one.pruned, brute.evaluated);
     // The work itself is a property of the space too: every unique phase
     // configuration is simulated once, whatever the worker count.
@@ -385,7 +457,7 @@ fn summary_and_reference_walks_agree_at_dse_level() {
     let opts = DseOptions { threads: 2, top_k: 8, ..DseOptions::new(Objective::Runtime) };
     let summary = dse::explore(&workload, &hw, &opts);
     let oracle = dse::explore(&workload, &hw_oracle, &opts);
-    assert_eq!(ranked_key(&summary), ranked_key(&oracle));
+    assert_eq!(explore_key(&summary), explore_key(&oracle));
     // Both walks produce bit-identical phase results, and the sweep's waves
     // and pruning thresholds depend only on those results, so even the
     // evaluated/pruned split and the phase-simulation counts agree.
@@ -425,13 +497,7 @@ fn model_search_on_sampled_scale_subgraph_is_thread_invariant() {
     };
     let a = run(1);
     let b = run(8);
-    let key = |o: &ModelExploreOutcome| -> Vec<(String, u64, Option<usize>)> {
-        o.ranked
-            .iter()
-            .map(|r| (format!("{}", r.mapping), r.report.total_cycles, r.index))
-            .collect()
-    };
     assert!(!a.ranked.is_empty());
-    assert_eq!(key(&a), key(&b));
+    assert_eq!(model_key(&a), model_key(&b));
     assert_eq!((a.evaluated, a.skipped, a.space), (b.evaluated, b.skipped, b.space));
 }
