@@ -14,12 +14,11 @@
 use serde::Serialize;
 
 use omega_accel::{AccelConfig, ModelKnobs};
-use omega_core::dse::{DseCache, DseOptions};
+use omega_core::dse::{concretize_pattern, DseCache, DseOptions};
 use omega_core::evaluate;
 use omega_core::mapper::Objective;
 use omega_dataflow::presets::Preset;
-use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
-use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, InterPhase};
+use omega_dataflow::GnnDataflowPattern;
 
 use crate::common::{default_suite, eval_preset};
 
@@ -252,35 +251,6 @@ pub struct AcceleratorRow {
     pub awb_gcn_vs_best: f64,
 }
 
-/// Concretises a published accelerator's dataflow pattern for a workload.
-fn accelerator_dataflow(
-    pattern: &GnnDataflowPattern,
-    wl: &omega_core::GnnWorkload,
-    cfg: &AccelConfig,
-) -> GnnDataflow {
-    let ctx = wl.tile_context(pattern.phase_order);
-    let (a, c) = if pattern.inter == InterPhase::ParallelPipeline {
-        (cfg.num_pes / 2, cfg.num_pes / 2)
-    } else {
-        (cfg.num_pes, cfg.num_pes)
-    };
-    // Balanced growth over whatever the pattern allows to be spatial.
-    let policy = |p: &omega_dataflow::IntraPattern| {
-        let dims: Vec<Dim> = p
-            .order()
-            .dims()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| p.maps()[i] != omega_dataflow::MappingSpec::Temporal)
-            .map(|(_, &d)| d)
-            .collect();
-        PhasePolicy::round_robin(&dims).with_cap(Dim::N, Cap::MeanDegreePow2)
-    };
-    let agg = choose_tiling(&pattern.agg, &ctx, a, &policy(&pattern.agg));
-    let cmb = choose_tiling(&pattern.cmb, &ctx, c, &policy(&pattern.cmb));
-    GnnDataflow { inter: pattern.inter, phase_order: pattern.phase_order, agg, cmb }
-}
-
 /// Regenerates the published-accelerator case study.
 pub fn accelerators() -> Vec<AcceleratorRow> {
     let cfg = AccelConfig::paper_default();
@@ -290,8 +260,8 @@ pub fn accelerators() -> Vec<AcceleratorRow> {
     default_suite()
         .into_iter()
         .map(|(_, wl)| {
-            let hygcn_df = accelerator_dataflow(&hygcn, &wl, &cfg);
-            let awb_df = accelerator_dataflow(&awb, &wl, &cfg);
+            let hygcn_df = concretize_pattern(&hygcn, &wl, &cfg);
+            let awb_df = concretize_pattern(&awb, &wl, &cfg);
             let hygcn_cycles =
                 evaluate(&wl, &hygcn_df, &cfg).expect("HyGCN dataflow is legal").total_cycles;
             let awb_gcn_cycles =

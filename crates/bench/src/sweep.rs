@@ -135,8 +135,8 @@ mod tests {
         assert!(density.last().unwrap().runtime_spread > density.first().unwrap().runtime_spread);
         // The winner is workload-dependent (the paper's core thesis): across the
         // runtime and energy objectives the sweep crowns several distinct
-        // dataflows (on *uniform* synthetic graphs the runtime winner is stable —
-        // see EXPERIMENTS.md D1 — while the energy winner flips with the knobs).
+        // dataflows (on *uniform* synthetic graphs the runtime winner is stable,
+        // while the energy winner flips with the knobs).
         let winners: std::collections::HashSet<_> = rows
             .iter()
             .flat_map(|r| [r.best_runtime.clone(), r.best_energy.clone()])

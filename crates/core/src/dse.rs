@@ -11,7 +11,8 @@
 //!   first (their hand-tuned tile policies are not always reachable by the
 //!   balanced concretisation, so seeding guarantees the reported optimum is
 //!   never worse than any preset, and their scores give the first pruning
-//!   threshold);
+//!   threshold); the best of them is kept as [`ExploreOutcome::best_seed`],
+//!   the preset baseline;
 //! * **plan** — every pattern of [`PatternSpace`] is concretised with the
 //!   balanced tile policy and planned once, in parallel, keeping only its
 //!   admissible cycle lower bound and index; the list is sorted by bound;
@@ -54,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use omega_accel::{AccelConfig, PhaseStats};
 use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
-use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, InterPhase, IntraPattern, MappingSpec};
+use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, IntraPattern, MappingSpec};
 
 use crate::evaluate::{EvalPlan, PhaseKey, MAX_CACHED_MARKS};
 use crate::mapper::{refine_tiles, Objective};
@@ -153,6 +154,13 @@ pub struct ExploreOutcome {
     /// Deterministic: the set of mutually non-dominated candidates is a
     /// property of the space, independent of threads and pruning.
     pub frontier: Vec<ParetoPoint>,
+    /// The best preset seed under [`DseOptions::objective`] (ties to the
+    /// earlier seed), `None` when no seed is valid: the preset baseline the
+    /// optimum is measured against. It equals the head of
+    /// [`crate::mapper::rank`] over [`crate::mapper::extended_candidates`],
+    /// except that its report carries no chunk timelines. Recorded in Pareto
+    /// mode too; never refined.
+    pub best_seed: Option<RankedDataflow>,
     /// Size of the enumerated space (the paper's 6,656).
     pub space: usize,
     /// Successful cost-model evaluations (space + seeds + refinement probes).
@@ -217,11 +225,7 @@ pub fn concretize_pattern(
     cfg: &AccelConfig,
 ) -> GnnDataflow {
     let ctx = workload.tile_context(pattern.phase_order);
-    let (agg_pes, cmb_pes) = if pattern.inter == InterPhase::ParallelPipeline {
-        (cfg.num_pes / 2, cfg.num_pes / 2)
-    } else {
-        (cfg.num_pes, cfg.num_pes)
-    };
+    let (agg_pes, cmb_pes) = pattern.inter.pe_budgets(cfg.num_pes);
     GnnDataflow {
         inter: pattern.inter,
         phase_order: pattern.phase_order,
@@ -597,9 +601,16 @@ pub fn explore_cancellable(
         ranked
     };
 
+    let best_seed = st.best_seed.map(|e| RankedDataflow {
+        dataflow: e.candidate,
+        report: e.report,
+        score: e.score,
+        pattern_index: None,
+    });
     Some(ExploreOutcome {
         ranked,
         frontier,
+        best_seed,
         space: total,
         evaluated,
         skipped: st.skipped,
@@ -680,6 +691,9 @@ struct SweepState {
     pos: usize,
     top: TopK<GnnDataflow, CostReport>,
     front: ParetoFront<GnnDataflow, CostReport>,
+    /// The seed with the lowest `(objective score, index)` — the preset
+    /// baseline, kept in every mode.
+    best_seed: Option<Entry<GnnDataflow, CostReport>>,
     evaluated: usize,
     skipped: usize,
     pruned: usize,
@@ -707,6 +721,7 @@ impl Sweep<'_, '_> {
             pos: 0,
             top: TopK::new(self.opts.top_k),
             front: ParetoFront::new(),
+            best_seed: None,
             evaluated: 0,
             skipped: 0,
             pruned: 0,
@@ -759,12 +774,22 @@ impl Sweep<'_, '_> {
     fn advance(&self, st: &mut SweepState, reports: Vec<CostReport>) {
         for (c, report) in st.cands.iter().zip(reports) {
             st.evaluated += 1;
+            let entry = Entry {
+                score: self.opts.objective.score(&report),
+                index: c.index,
+                candidate: c.dataflow,
+                report,
+            };
+            if c.index >= self.space.len()
+                && st.best_seed.as_ref().is_none_or(|b| key_cmp(entry.key(), b.key()).is_lt())
+            {
+                st.best_seed = Some(entry.clone());
+            }
             if self.opts.pareto {
-                let axes = report_axes(&report);
-                st.front.offer(c.index, c.dataflow, report, axes);
+                let axes = report_axes(&entry.report);
+                st.front.offer(c.index, c.dataflow, entry.report, axes);
             } else {
-                let score = self.opts.objective.score(&report);
-                st.top.offer(Entry { score, index: c.index, candidate: c.dataflow, report });
+                st.top.offer(entry);
             }
         }
         for &id in &st.todo {
@@ -921,7 +946,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// v2: `ExploreOutcome` gained `class_replays`.
 /// v3: the option fingerprint lost its `seed_presets` and `phase_cache`
 /// bytes, so v2 keys no longer match.
-pub const CACHE_FILE_VERSION: u32 = 3;
+/// v4: `ExploreOutcome` gained `best_seed`.
+pub const CACHE_FILE_VERSION: u32 = 4;
 
 /// Shape summary of a cached workload, persisted next to each outcome so a
 /// serving process can warm-start an unseen shape from its nearest cached
@@ -1759,6 +1785,34 @@ mod tests {
         for df in crate::mapper::extended_candidates(&workload, &cfg) {
             let r = evaluate(&workload, &df, &cfg).expect("presets evaluate");
             assert!(best.score <= r.total_cycles as f64, "{df}");
+        }
+
+        // The recorded best seed is the preset ranking's head, bit for bit,
+        // under every objective and mode, and on a capacity-enforced machine.
+        let mut capped = cfg;
+        capped.rf_bytes_per_pe = 32;
+        capped.knobs.enforce_capacity = true;
+        let runs = [
+            (&cfg, quick_opts()),
+            (&cfg, DseOptions { objective: Objective::Energy, ..quick_opts() }),
+            (&cfg, DseOptions { objective: Objective::Edp, ..quick_opts() }),
+            (&cfg, DseOptions { pareto: true, ..quick_opts() }),
+            (&cfg, DseOptions { refine_steps: 4, ..quick_opts() }),
+            (&cfg, DseOptions { prune: false, ..quick_opts() }),
+            (&capped, quick_opts()),
+        ];
+        let key = |r: &RankedDataflow| {
+            let energy = r.report.energy.total_pj().to_bits();
+            (r.dataflow, r.score.to_bits(), r.report.total_cycles, energy)
+        };
+        for (cfg, opts) in runs {
+            let out = explore(&workload, cfg, &opts);
+            let presets = crate::mapper::extended_candidates(&workload, cfg);
+            let expected = crate::mapper::rank(&presets, &workload, cfg, opts.objective);
+            let seed = out.best_seed.as_ref().expect("a valid seed");
+            assert_eq!(key(seed), key(&expected[0]), "{opts:?}");
+            assert_eq!(seed.pattern_index, None);
+            assert!(out.best().unwrap().score <= seed.score, "{opts:?}");
         }
     }
 

@@ -835,14 +835,7 @@ mod tests {
     }
 
     fn eval_preset(name: &str, wl: &GnnWorkload, cfg: &AccelConfig) -> CostReport {
-        let preset = Preset::by_name(name).unwrap();
-        let ctx = wl.tile_context(preset.pattern.phase_order);
-        let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-            (cfg.num_pes / 2, cfg.num_pes / 2)
-        } else {
-            (cfg.num_pes, cfg.num_pes)
-        };
-        let df = preset.concretize(&ctx, a, c);
+        let df = crate::mapper::concretize_preset(&Preset::by_name(name).unwrap(), wl, cfg);
         evaluate(wl, &df, cfg).unwrap()
     }
 

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use omega_accel::AccelConfig;
 use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::presets::Preset;
-use omega_dataflow::{GnnDataflow, InterPhase, IntraTiling, Phase};
+use omega_dataflow::{GnnDataflow, IntraTiling, Phase};
 
 use crate::dse::{key_cmp, RankedDataflow};
 use crate::{evaluate, CostReport, GnnWorkload, PhaseSimCache, PreparedEval};
@@ -67,20 +67,17 @@ pub struct SearchResult {
     pub skipped: usize,
 }
 
+/// Concretises `preset` for `workload` on `cfg`, with the PE budgets of
+/// [`omega_dataflow::InterPhase::pe_budgets`] (PP split 50-50).
+pub fn concretize_preset(preset: &Preset, workload: &GnnWorkload, cfg: &AccelConfig) -> GnnDataflow {
+    let ctx = workload.tile_context(preset.pattern.phase_order);
+    let (agg_pes, cmb_pes) = preset.pattern.inter.pe_budgets(cfg.num_pes);
+    preset.concretize(&ctx, agg_pes, cmb_pes)
+}
+
 /// The nine Table V presets concretised for this workload (PP split 50-50).
 pub fn preset_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<GnnDataflow> {
-    Preset::all()
-        .iter()
-        .map(|p| {
-            let ctx = workload.tile_context(p.pattern.phase_order);
-            let (a, c) = if p.pattern.inter == InterPhase::ParallelPipeline {
-                (cfg.num_pes / 2, cfg.num_pes / 2)
-            } else {
-                (cfg.num_pes, cfg.num_pes)
-            };
-            p.concretize(&ctx, a, c)
-        })
-        .collect()
+    Preset::all().iter().map(|p| concretize_preset(p, workload, cfg)).collect()
 }
 
 /// Deterministic sample of up to `n` candidates from the full enumerated
@@ -161,23 +158,17 @@ pub fn rank(
 /// aggregation work from `E×F` to `E×G`, so for wide-feature workloads the CA
 /// members routinely win.
 pub fn extended_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<GnnDataflow> {
-    let mut out = preset_candidates(workload, cfg);
-    for p in omega_dataflow::presets::ca_variants() {
-        let ctx = workload.tile_context(p.pattern.phase_order);
-        let (a, c) = if p.pattern.inter == InterPhase::ParallelPipeline {
-            (cfg.num_pes / 2, cfg.num_pes / 2)
-        } else {
-            (cfg.num_pes, cfg.num_pes)
-        };
-        out.push(p.concretize(&ctx, a, c));
-    }
-    out
+    Preset::all()
+        .iter()
+        .chain(&omega_dataflow::presets::ca_variants())
+        .map(|p| concretize_preset(p, workload, cfg))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omega_dataflow::Dim;
+    use omega_dataflow::{Dim, InterPhase};
     use omega_graph::DatasetSpec;
 
     fn wl() -> GnnWorkload {
@@ -364,16 +355,8 @@ pub fn refine_tiles(
     let mut evaluated = 1;
     let mut skipped = 0;
 
-    let budgets = |df: &GnnDataflow| -> (usize, usize) {
-        if df.inter == InterPhase::ParallelPipeline {
-            (cfg.num_pes / 2, cfg.num_pes / 2)
-        } else {
-            (cfg.num_pes, cfg.num_pes)
-        }
-    };
-
     for _ in 0..max_steps {
-        let (agg_budget, cmb_budget) = budgets(&current);
+        let (agg_budget, cmb_budget) = current.inter.pe_budgets(cfg.num_pes);
         let mut best_neighbour: Option<(GnnDataflow, CostReport, f64)> = None;
         for (phase_sel, budget) in [(Phase::Aggregation, agg_budget), (Phase::Combination, cmb_budget)] {
             let tiling = if phase_sel == Phase::Aggregation { current.agg } else { current.cmb };
@@ -431,7 +414,7 @@ fn scaled_tile(tiling: &IntraTiling, pos: usize, grow: bool) -> Option<IntraTili
 #[cfg(test)]
 mod extension_tests {
     use super::*;
-    use omega_dataflow::Dim;
+    use omega_dataflow::{Dim, InterPhase};
     use omega_graph::DatasetSpec;
 
     fn wl() -> GnnWorkload {

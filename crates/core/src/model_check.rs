@@ -105,13 +105,7 @@ mod tests {
         let wl = GnnWorkload::gcn_layer(&d, 16);
         let cfg = AccelConfig::paper_default();
         for preset in Preset::all() {
-            let ctx = wl.tile_context(preset.pattern.phase_order);
-            let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                (256, 256)
-            } else {
-                (512, 512)
-            };
-            let df = preset.concretize(&ctx, a, c);
+            let df = crate::mapper::concretize_preset(&preset, &wl, &cfg);
             let report = evaluate(&wl, &df, &cfg).unwrap();
             verify_report(&report, &wl).unwrap_or_else(|e| panic!("{}: {e}", preset.name));
         }

@@ -318,15 +318,7 @@ pub fn uniform_layer_dataflows(
     Ok(model
         .layer_workloads(base)
         .iter()
-        .map(|wl| {
-            let ctx = wl.tile_context(preset.pattern.phase_order);
-            let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                (cfg.num_pes / 2, cfg.num_pes / 2)
-            } else {
-                (cfg.num_pes, cfg.num_pes)
-            };
-            preset.concretize(&ctx, a, c)
-        })
+        .map(|wl| crate::mapper::concretize_preset(preset, wl, cfg))
         .collect())
 }
 

@@ -33,6 +33,16 @@ impl InterPhase {
     pub fn all() -> [InterPhase; 3] {
         [InterPhase::Sequential, InterPhase::SequentialPipeline, InterPhase::ParallelPipeline]
     }
+
+    /// The `(aggregation, combination)` PE budgets on a `num_pes` array: PP
+    /// splits the array 50-50 between its two concurrent engines, Seq and SP
+    /// give each phase the whole array.
+    pub fn pe_budgets(self, num_pes: usize) -> (usize, usize) {
+        match self {
+            InterPhase::ParallelPipeline => (num_pes / 2, num_pes / 2),
+            _ => (num_pes, num_pes),
+        }
+    }
 }
 
 impl std::fmt::Display for InterPhase {

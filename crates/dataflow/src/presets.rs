@@ -19,8 +19,6 @@
 
 use crate::tiles::{choose_tiling, Cap, PhasePolicy, TileContext};
 use crate::{Dim, GnnDataflow, GnnDataflowPattern, IntraTiling};
-#[cfg(test)]
-use crate::InterPhase;
 
 /// A named, reproducible dataflow configuration (one row of Table V).
 #[derive(Debug, Clone)]
@@ -237,11 +235,7 @@ mod tests {
     fn all_presets_concretize_validly_on_all_contexts() {
         for ctx in [citeseer_ctx(), mutag_ctx()] {
             for preset in Preset::all() {
-                let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                    (256, 256)
-                } else {
-                    (512, 512)
-                };
+                let (a, c) = preset.pattern.inter.pe_budgets(512);
                 let df = preset.concretize(&ctx, a, c);
                 assert!(validate(&df).is_ok(), "{}: {}", preset.name, df);
                 assert!(preset.pattern.agg.order() == df.agg.order());
@@ -392,11 +386,7 @@ mod ca_tests {
     fn ca_variants_concretize_and_validate() {
         for preset in ca_variants() {
             assert_eq!(preset.pattern.phase_order, PhaseOrder::CA);
-            let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                (256, 256)
-            } else {
-                (512, 512)
-            };
+            let (a, c) = preset.pattern.inter.pe_budgets(512);
             let df = preset.concretize(&cora_ctx(), a, c);
             assert!(validate(&df).is_ok(), "{}: {df}", preset.name);
             assert!(df.agg.pe_footprint() <= a);

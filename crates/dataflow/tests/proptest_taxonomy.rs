@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy, TileContext};
 use omega_dataflow::{
-    validate_pattern, Dim, GnnDataflowPattern, InterPhase, IntraPattern, LoopOrder, MappingSpec,
+    validate_pattern, Dim, GnnDataflowPattern, IntraPattern, LoopOrder, MappingSpec,
     Phase, PhaseOrder,
 };
 
@@ -125,11 +125,7 @@ proptest! {
     ) {
         let preset = &Preset::all()[preset_idx];
         let budget = 1usize << budget_log;
-        let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-            (budget / 2, budget / 2)
-        } else {
-            (budget, budget)
-        };
+        let (a, c) = preset.pattern.inter.pe_budgets(budget);
         let df = preset.concretize(&ctx, a.max(1), c.max(1));
         prop_assert!(omega_dataflow::validate(&df).is_ok(), "{df}");
         prop_assert!(df.agg.pe_footprint() <= a.max(2), "{df}");

@@ -30,13 +30,7 @@ fn main() {
         print!("{bw:>10}");
         for name in presets {
             let preset = Preset::by_name(name).expect("preset exists");
-            let ctx = workload.tile_context(preset.pattern.phase_order);
-            let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                (hw.num_pes / 2, hw.num_pes / 2)
-            } else {
-                (hw.num_pes, hw.num_pes)
-            };
-            let df = preset.concretize(&ctx, a, c);
+            let df = mapper::concretize_preset(&preset, &workload, &hw);
             let report = evaluate(&workload, &df, &hw).expect("legal dataflow");
             if bw == 512 && name == "Seq1" {
                 baseline = Some(report.total_cycles);

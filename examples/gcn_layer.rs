@@ -46,13 +46,7 @@ fn main() {
     println!("\n{:<8} {:>12} {:>10} {:>12}", "dataflow", "cycles", "vs Seq1", "energy (uJ)");
     let mut baseline = None;
     for preset in Preset::all() {
-        let ctx = workload.tile_context(preset.pattern.phase_order);
-        let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-            (hw.num_pes / 2, hw.num_pes / 2)
-        } else {
-            (hw.num_pes, hw.num_pes)
-        };
-        let df = preset.concretize(&ctx, a, c);
+        let df = mapper::concretize_preset(&preset, &workload, &hw);
         let report = evaluate(&workload, &df, &hw).expect("legal dataflow");
         let norm = match &baseline {
             None => {

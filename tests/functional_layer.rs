@@ -7,7 +7,7 @@ use omega_gnn::prelude::*;
 
 #[test]
 fn every_preset_schedule_computes_the_same_layer() {
-    let _hw = AccelConfig::paper_default();
+    let hw = AccelConfig::paper_default();
     let dataset = DatasetSpec::mutag().generate(13);
     let graph = &dataset.graph;
     let wl = GnnWorkload::gcn_layer(&dataset, 16);
@@ -18,13 +18,7 @@ fn every_preset_schedule_computes_the_same_layer() {
     let out_ref = ops::gemm(&h_ref, &w).expect("shapes agree");
 
     for preset in Preset::all() {
-        let ctx = wl.tile_context(preset.pattern.phase_order);
-        let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-            (256, 256)
-        } else {
-            (512, 512)
-        };
-        let df = preset.concretize(&ctx, a, c);
+        let df = mapper::concretize_preset(&preset, &wl, &hw);
         let h = execute_spmm(graph.adjacency(), &x0, &df.agg);
         assert_eq!(h, h_ref, "{}: aggregation result", preset.name);
         let out = execute_gemm(&h, &w, &df.cmb);

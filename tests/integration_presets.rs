@@ -11,22 +11,12 @@ fn suite() -> Vec<(String, GnnWorkload)> {
         .collect()
 }
 
-fn concretize(preset: &Preset, wl: &GnnWorkload, hw: &AccelConfig) -> GnnDataflow {
-    let ctx = wl.tile_context(preset.pattern.phase_order);
-    let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-        (hw.num_pes / 2, hw.num_pes / 2)
-    } else {
-        (hw.num_pes, hw.num_pes)
-    };
-    preset.concretize(&ctx, a, c)
-}
-
 #[test]
 fn every_preset_on_every_dataset() {
     let hw = AccelConfig::paper_default();
     for (name, wl) in suite() {
         for preset in Preset::all() {
-            let df = concretize(&preset, &wl, &hw);
+            let df = mapper::concretize_preset(&preset, &wl, &hw);
             let report = evaluate(&wl, &df, &hw)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", preset.name));
             // Work invariants: the dataflow must schedule exactly the layer's MACs.
@@ -52,7 +42,7 @@ fn compute_bound_is_respected() {
     for (name, wl) in suite() {
         let floor = wl.total_macs(PhaseOrder::AC) / hw.num_pes as u64;
         for preset in Preset::all() {
-            let df = concretize(&preset, &wl, &hw);
+            let df = mapper::concretize_preset(&preset, &wl, &hw);
             let report = evaluate(&wl, &df, &hw).expect("legal");
             // PP runs the phases on half the array each, so its floor is the
             // max of the two phases' own floors — still ≤ the sum-based bound.
@@ -72,7 +62,7 @@ fn sp_presets_keep_intermediate_out_of_gb() {
     for (name, wl) in suite() {
         for preset_name in ["SP1", "SP2", "SPhighV"] {
             let preset = Preset::by_name(preset_name).expect("preset");
-            let df = concretize(&preset, &wl, &hw);
+            let df = mapper::concretize_preset(&preset, &wl, &hw);
             let report = evaluate(&wl, &df, &hw).expect("legal");
             assert!(report.sp_optimized, "{name}/{preset_name}");
             assert_eq!(
@@ -90,7 +80,7 @@ fn seq_buffers_the_whole_intermediate() {
     let hw = AccelConfig::paper_default();
     for (name, wl) in suite() {
         let preset = Preset::by_name("Seq1").expect("preset");
-        let df = concretize(&preset, &wl, &hw);
+        let df = mapper::concretize_preset(&preset, &wl, &hw);
         let report = evaluate(&wl, &df, &hw).expect("legal");
         assert_eq!(
             report.intermediate_buffer_elems,
@@ -109,7 +99,7 @@ fn pp_splits_the_array_and_buffers_two_pel() {
     for (name, wl) in suite() {
         for preset_name in ["PP1", "PP2", "PP3", "PP4"] {
             let preset = Preset::by_name(preset_name).expect("preset");
-            let df = concretize(&preset, &wl, &hw);
+            let df = mapper::concretize_preset(&preset, &wl, &hw);
             assert!(df.agg.pe_footprint() <= 256, "{name}/{preset_name}");
             assert!(df.cmb.pe_footprint() <= 256, "{name}/{preset_name}");
             let report = evaluate(&wl, &df, &hw).expect("legal");
@@ -151,7 +141,7 @@ fn dataflow_strings_round_trip_through_parser() {
     let d = DatasetSpec::proteins().generate(3);
     let wl = GnnWorkload::gcn_layer(&d, 16);
     for preset in Preset::all() {
-        let df = concretize(&preset, &wl, &hw);
+        let df = mapper::concretize_preset(&preset, &wl, &hw);
         let pattern: GnnDataflowPattern = df.to_string().parse().expect("engine output parses");
         assert!(pattern.admits(&df), "{}", preset.name);
     }

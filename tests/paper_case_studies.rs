@@ -18,13 +18,7 @@ fn eval_pp_split(wl: &GnnWorkload, preset_name: &str, agg_frac: f64, hw: &AccelC
 
 fn eval_preset(wl: &GnnWorkload, preset_name: &str, hw: &AccelConfig) -> u64 {
     let preset = Preset::by_name(preset_name).expect("preset");
-    let ctx = wl.tile_context(preset.pattern.phase_order);
-    let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-        (hw.num_pes / 2, hw.num_pes / 2)
-    } else {
-        (hw.num_pes, hw.num_pes)
-    };
-    let df = preset.concretize(&ctx, a, c);
+    let df = mapper::concretize_preset(&preset, wl, hw);
     evaluate(wl, &df, hw).expect("legal").total_cycles
 }
 
@@ -90,7 +84,7 @@ fn normalized_runtimes_are_scale_stable() {
 /// suffers the most since the bandwidth is shared between the two phases."
 /// The sharing penalty shows on the large workloads (Citeseer, Collab); on the
 /// tiny Mutag batch, Seq's bigger tiles stall on their own reads first, so only
-/// monotonicity is asserted there (see EXPERIMENTS.md).
+/// monotonicity is asserted there.
 #[test]
 fn bandwidth_sensitivity_and_pp_sharing() {
     for name in ["Citeseer", "Collab"] {
@@ -112,7 +106,7 @@ fn bandwidth_sensitivity_and_pp_sharing() {
         }
         // On the dense HE workload the sharing penalty also shows as a steeper
         // degradation slope (on Citeseer the PP tiles are small enough that its
-        // proportional share keeps pace — see EXPERIMENTS.md).
+        // proportional share keeps pace).
         if name == "Collab" {
             let (seq0, sp0, pp0) = degradation[0];
             let (seq3, sp3, pp3) = degradation[3];

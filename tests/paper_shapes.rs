@@ -1,6 +1,6 @@
 //! Paper-shape assertions: the qualitative results of Section V must hold in
-//! this reproduction (EXPERIMENTS.md documents the quantitative comparison and
-//! the known deviations).
+//! this reproduction (each test's comment notes where the substrate deviates
+//! from the paper).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -16,13 +16,7 @@ fn grid() -> &'static HashMap<(String, String), CostReport> {
         for dataset in omega_gnn::graph::suite(0x0E5A_2022) {
             let wl = GnnWorkload::gcn_layer(&dataset, 16);
             for preset in Preset::all() {
-                let ctx = wl.tile_context(preset.pattern.phase_order);
-                let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                    (256, 256)
-                } else {
-                    (512, 512)
-                };
-                let df = preset.concretize(&ctx, a, c);
+                let df = mapper::concretize_preset(&preset, &wl, &hw);
                 let report = evaluate(&wl, &df, &hw).expect("legal preset");
                 out.insert((dataset.name().to_string(), preset.name.to_string()), report);
             }
@@ -68,8 +62,7 @@ fn evil_rows_break_sp_high_v_on_hf_only() {
 }
 
 /// Section V-B1: the SP family leads on the large sparse workloads (the paper's
-/// "SP2 performs well in most cases"; in our substrate SP1/SP2 split the crown,
-/// see EXPERIMENTS.md).
+/// "SP2 performs well in most cases"; in our substrate SP1/SP2 split the crown).
 #[test]
 fn sp_family_leads_on_sparse_workloads() {
     for d in ["Collab", "Reddit-bin", "Citeseer", "Cora"] {

@@ -32,16 +32,6 @@ fn workload_strategy() -> impl Strategy<Value = GnnWorkload> {
         })
 }
 
-fn concretize(preset: &Preset, wl: &GnnWorkload, hw: &AccelConfig) -> GnnDataflow {
-    let ctx = wl.tile_context(preset.pattern.phase_order);
-    let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-        (hw.num_pes / 2, hw.num_pes / 2)
-    } else {
-        (hw.num_pes, hw.num_pes)
-    };
-    preset.concretize(&ctx, a, c)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -51,7 +41,7 @@ proptest! {
     fn presets_are_consistent_on_random_workloads(wl in workload_strategy(), preset_idx in 0usize..9) {
         let hw = AccelConfig::paper_default();
         let preset = &Preset::all()[preset_idx];
-        let df = concretize(preset, &wl, &hw);
+        let df = mapper::concretize_preset(preset, &wl, &hw);
         let report = evaluate(&wl, &df, &hw).expect("presets are legal");
         prop_assert_eq!(report.agg.macs, wl.nnz * wl.f as u64);
         prop_assert_eq!(report.cmb.macs, (wl.v * wl.f * wl.g) as u64);
@@ -64,7 +54,7 @@ proptest! {
         let hw = AccelConfig::paper_default();
         let name = ["PP1", "PP2", "PP3", "PP4"][pp_idx];
         let preset = Preset::by_name(name).expect("preset");
-        let df = concretize(&preset, &wl, &hw);
+        let df = mapper::concretize_preset(&preset, &wl, &hw);
         let report = evaluate(&wl, &df, &hw).expect("legal");
         prop_assert!(report.total_cycles >= report.agg.cycles.max(report.cmb.cycles));
         prop_assert!(report.total_cycles <= report.agg.cycles + report.cmb.cycles);
@@ -77,7 +67,7 @@ proptest! {
         let mut prev = None;
         for bw in [512usize, 128, 16] {
             let hw = AccelConfig::paper_default().with_bandwidth(bw);
-            let df = concretize(preset, &wl, &hw);
+            let df = mapper::concretize_preset(preset, &wl, &hw);
             let report = evaluate(&wl, &df, &hw).expect("legal");
             if let Some(p) = prev {
                 prop_assert!(report.total_cycles >= p, "{}: bw {bw}", preset.name);
@@ -93,7 +83,7 @@ proptest! {
         let mut prev: Option<u64> = None;
         for pes in [128usize, 512, 2048] {
             let hw = AccelConfig::paper_default().with_pes(pes);
-            let df = concretize(preset, &wl, &hw);
+            let df = mapper::concretize_preset(preset, &wl, &hw);
             let report = evaluate(&wl, &df, &hw).expect("legal");
             if let Some(p) = prev {
                 // Allow a tiny slack for remainder-tile effects.
@@ -112,7 +102,7 @@ proptest! {
     fn energy_breakdown_adds_up(wl in workload_strategy(), preset_idx in 0usize..9) {
         let hw = AccelConfig::paper_default();
         let preset = &Preset::all()[preset_idx];
-        let df = concretize(preset, &wl, &hw);
+        let df = mapper::concretize_preset(preset, &wl, &hw);
         let report = evaluate(&wl, &df, &hw).expect("legal");
         let e = &report.energy;
         let class_sum: f64 = e.gb_by_class_pj.iter().sum();

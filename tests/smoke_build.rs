@@ -33,13 +33,7 @@ fn every_preset_evaluates_via_prelude() {
     let hw = AccelConfig::paper_default();
 
     for preset in Preset::all() {
-        let ctx = workload.tile_context(preset.pattern.phase_order);
-        let (agg, cmb) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-            (hw.num_pes / 2, hw.num_pes / 2)
-        } else {
-            (hw.num_pes, hw.num_pes)
-        };
-        let dataflow = preset.concretize(&ctx, agg, cmb);
+        let dataflow = mapper::concretize_preset(&preset, &workload, &hw);
         let report = evaluate(&workload, &dataflow, &hw)
             .unwrap_or_else(|e| panic!("{} failed to evaluate: {e:?}", preset.name));
         assert!(report.total_cycles > 0, "{} produced zero cycles", preset.name);
