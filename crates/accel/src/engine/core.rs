@@ -36,46 +36,48 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use super::{ChunkSide, ChunkSpec, EngineOptions, GemmDims, OperandClasses};
-use crate::{AccelConfig, AccessCounters, BandwidthShare, PhaseStats, RfBudget};
+use crate::{AccelConfig, AccessCounters, BandwidthShare, ChunkTimeline, PhaseStats, RfBudget};
 
-/// Tracks progress toward chunk boundaries and records cumulative cycle marks.
+/// Tracks progress toward chunk boundaries and records the chunk timeline,
+/// one run of equal chunk durations at a time.
 #[derive(Debug)]
 pub(crate) struct ChunkTracker {
     pel: u64,
     total: u64,
     progress: u64,
     emitted: u64,
-    marks: Vec<u64>,
+    timeline: ChunkTimeline,
 }
 
 impl ChunkTracker {
     pub(crate) fn new(spec: Option<&ChunkSpec>, total_elems: u64) -> Option<Self> {
         let spec = spec?;
         let pel = spec.pel.max(1);
-        let chunks = total_elems.div_ceil(pel).max(1);
-        Some(ChunkTracker { pel, total: total_elems, progress: 0, emitted: 0, marks: Vec::with_capacity(chunks as usize) })
+        let timeline = ChunkTimeline::new();
+        Some(ChunkTracker { pel, total: total_elems, progress: 0, emitted: 0, timeline })
     }
 
     /// Records `elems` of progress at cumulative time `now`. Reference
     /// implementation for [`Self::advance_repeat`], which the engines use for
     /// batched passes (`advance(e, t)` ≡ `advance_repeat(1, e, …)`); kept for
-    /// the equivalence test.
+    /// the equivalence tests.
     #[cfg(test)]
     pub(crate) fn advance(&mut self, elems: u64, now: u64) {
         self.progress += elems;
         while (self.emitted + 1) * self.pel <= self.progress {
-            self.marks.push(now);
+            self.timeline.push_mark(now);
             self.emitted += 1;
         }
     }
 
     /// Records `reps` back-to-back identical passes, each contributing
     /// `elems_each` of progress and `cycles_each` cycles, with the first pass
-    /// starting at cumulative time `start_cycles`. Emits exactly the marks the
-    /// equivalent sequence of [`Self::advance`] calls would (each boundary is
-    /// stamped with the end time of the pass that crosses it) in O(#marks)
-    /// instead of O(reps) — what lets the engines batch uniform passes without
-    /// losing the pipeline-chunk timeline.
+    /// starting at cumulative time `start_cycles`. Records exactly the marks
+    /// the equivalent sequence of [`Self::advance`] calls would (each boundary
+    /// is stamped with the end time of the pass that crosses it). When
+    /// `elems_each` divides `pel`, every crossing after the first comes
+    /// exactly `pel / elems_each` passes after the one before, so the batch is
+    /// one mark plus one run: O(1). Otherwise it costs O(#marks).
     pub(crate) fn advance_repeat(
         &mut self,
         reps: u64,
@@ -83,35 +85,45 @@ impl ChunkTracker {
         cycles_each: u64,
         start_cycles: u64,
     ) {
-        if reps == 0 {
-            return;
-        }
-        if elems_each == 0 {
+        if reps == 0 || elems_each == 0 {
             return;
         }
         let end = self.progress + reps * elems_each;
-        while (self.emitted + 1) * self.pel <= end {
-            let target = (self.emitted + 1) * self.pel;
-            // 1-based index of the pass whose end crosses `target`.
-            let r = (target - self.progress).div_ceil(elems_each);
-            self.marks.push(start_cycles + r * cycles_each);
-            self.emitted += 1;
+        if (self.emitted + 1) * self.pel <= end {
+            self.stamp_next(elems_each, cycles_each, start_cycles);
+            if (self.emitted + 1) * self.pel <= end && self.pel.is_multiple_of(elems_each) {
+                let rest = end / self.pel - self.emitted;
+                self.timeline.push(self.pel / elems_each * cycles_each, rest);
+                self.emitted += rest;
+            }
+            while (self.emitted + 1) * self.pel <= end {
+                self.stamp_next(elems_each, cycles_each, start_cycles);
+            }
         }
         self.progress = end;
     }
 
-    /// Closes the tracker at final time `now`, emitting the trailing partial
-    /// chunk (and any rounding shortfall) so the last mark equals the phase's
-    /// total cycles.
-    pub(crate) fn finish(mut self, now: u64) -> Vec<u64> {
+    /// Stamps the next chunk boundary, which the batch of [`Self::advance_repeat`]
+    /// crosses, with the end time of the pass that crosses it.
+    fn stamp_next(&mut self, elems_each: u64, cycles_each: u64, start_cycles: u64) {
+        let target = (self.emitted + 1) * self.pel;
+        // 1-based index of the pass whose end crosses `target`.
+        let r = (target - self.progress).div_ceil(elems_each);
+        self.timeline.push_mark(start_cycles + r * cycles_each);
+        self.emitted += 1;
+    }
+
+    /// Closes the tracker at final time `now`, padding the trailing partial
+    /// chunk (and any rounding shortfall) so the timeline ends at the
+    /// phase's total cycles.
+    pub(crate) fn finish(mut self, now: u64) -> ChunkTimeline {
         let expected = self.total.div_ceil(self.pel).max(1);
-        while (self.marks.len() as u64) < expected {
-            self.marks.push(now);
+        if self.timeline.len() < expected {
+            self.timeline.push_mark(now);
+            self.timeline.push(0, expected - self.timeline.len());
         }
-        if let Some(last) = self.marks.last_mut() {
-            *last = now;
-        }
-        self.marks
+        self.timeline.retime_last(now);
+        self.timeline
     }
 }
 
@@ -407,17 +419,19 @@ pub(crate) trait PhaseEngine {
 
 /// Drives one leaf through the shared simulation skeleton: empty short-cut,
 /// fill overheads, chunk tracking, the walk, the epilogue, and the final
-/// [`PhaseStats`] assembly. Every `simulate_*` entry point is a thin wrapper
-/// over this.
+/// [`PhaseStats`] assembly. Returns the chunk timeline beside the stats, whose
+/// `chunk_marks` stay empty; every `simulate_*_prepared` entry point is a thin
+/// wrapper over this, and every `simulate_*` one expands the timeline with
+/// [`with_marks`].
 pub(crate) fn run_phase<E: PhaseEngine>(
     leaf: &E,
     cfg: &AccelConfig,
     classes: &OperandClasses,
     opts: &EngineOptions,
-) -> PhaseStats {
+) -> (PhaseStats, ChunkTimeline) {
     let footprint = leaf.pe_footprint();
     if leaf.is_empty() {
-        return PhaseStats::empty(footprint);
+        return (PhaseStats::empty(footprint), ChunkTimeline::new());
     }
     let (phase_fill, pass_fill) = fill_overheads(cfg, leaf.reduction_lanes());
     let mut w = PhaseWalk::new(leaf, classes, opts, pass_fill);
@@ -463,18 +477,27 @@ pub(crate) fn run_phase<E: PhaseEngine>(
     }
     // Phase-level pipeline fill is paid once, only when the phase did any work.
     let cycles = if w.cycles > 0 { w.cycles + phase_fill + extra + capacity_cycles } else { 0 };
-    let chunk_marks = w.chunks.map(|t| t.finish(cycles)).unwrap_or_default();
-    PhaseStats {
+    let timeline = w.chunks.map(|t| t.finish(cycles)).unwrap_or_default();
+    let stats = PhaseStats {
         cycles,
         stall_cycles: w.stall_cycles,
         macs: w.macs,
         counters: w.counters,
         pe_footprint: footprint,
-        chunk_marks,
+        chunk_marks: Vec::new(),
         psum_spilled: w.spilled,
         rf_peak_bytes,
         gb_peak_bytes,
-    }
+    };
+    (stats, timeline)
+}
+
+/// A phase result with its timeline expanded into
+/// [`PhaseStats::chunk_marks`] — what the public `simulate_*` entry points
+/// report.
+pub(crate) fn with_marks((mut stats, timeline): (PhaseStats, ChunkTimeline)) -> PhaseStats {
+    stats.chunk_marks = timeline.marks().collect();
+    stats
 }
 
 /// The tile replays one walk of `leaf` counts — what [`run_phase`] adds to
@@ -894,6 +917,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn marks(t: &ChunkTimeline) -> Vec<u64> {
+        t.marks().collect()
+    }
+
     #[test]
     fn chunk_tracker_marks_boundaries() {
         let spec = ChunkSpec { side: ChunkSide::Produce, pel: 10 };
@@ -901,8 +928,9 @@ mod tests {
         t.advance(6, 5);
         t.advance(6, 9); // 12 ≥ 10 → mark at 9
         t.advance(10, 20); // 22 ≥ 20 → mark at 20
-        let marks = t.finish(31);
-        assert_eq!(marks, vec![9, 20, 31]); // ceil(25/10) = 3 chunks
+        let timeline = t.finish(31);
+        assert_eq!(marks(&timeline), vec![9, 20, 31]); // ceil(25/10) = 3 chunks
+        assert_eq!(timeline.runs(), [(9, 1), (11, 2)]);
     }
 
     #[test]
@@ -910,8 +938,9 @@ mod tests {
         let spec = ChunkSpec { side: ChunkSide::Consume, pel: 5 };
         let mut t = ChunkTracker::new(Some(&spec), 20).unwrap();
         t.advance(20, 7); // all four chunks complete at once
-        let marks = t.finish(7);
-        assert_eq!(marks, vec![7, 7, 7, 7]);
+        let timeline = t.finish(7);
+        assert_eq!(marks(&timeline), vec![7, 7, 7, 7]);
+        assert_eq!(timeline.runs(), [(7, 1), (0, 3)]);
     }
 
     #[test]
@@ -935,9 +964,67 @@ mod tests {
             }
             let mut batched = ChunkTracker::new(Some(&spec), total).unwrap();
             batched.advance_repeat(reps, elems, cycles, 17);
-            assert_eq!(seq.marks, batched.marks, "pel={pel} reps={reps} elems={elems}");
+            assert_eq!(seq.timeline, batched.timeline, "pel={pel} reps={reps} elems={elems}");
             assert_eq!(seq.progress, batched.progress);
             assert_eq!(seq.emitted, batched.emitted);
+        }
+    }
+
+    /// A batch's per-pass progress by kind: 0, a divisor of `pel`, a
+    /// non-divisor, or more than `pel` (possibly a multiple of it).
+    fn elems_of(kind: u8, pel: u64, pick: u64) -> u64 {
+        match kind {
+            0 => 0,
+            1 => {
+                let divisors: Vec<u64> = (1..=pel).filter(|&d| pel.is_multiple_of(d)).collect();
+                divisors[(pick % divisors.len() as u64) as usize]
+            }
+            2 => {
+                let others: Vec<u64> = (1..=2 * pel).filter(|&e| !pel.is_multiple_of(e)).collect();
+                others[(pick % others.len() as u64) as usize]
+            }
+            _ => pel + 1 + pick % (2 * pel),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn advance_repeat_runs_expand_to_the_per_pass_marks(
+            pel in 1u64..=64,
+            total in 0u64..3000,
+            // (reps, elems kind, elems pick, cycles per pass, idle gap)
+            calls in proptest::collection::vec(
+                (0u64..12, 0u8..4, 0u64..1000, 0u64..9, 0u64..4),
+                0..24,
+            ),
+            tail in 0u64..5,
+        ) {
+            let spec = ChunkSpec { side: ChunkSide::Produce, pel };
+            let mut seq = ChunkTracker::new(Some(&spec), total).unwrap();
+            let mut batched = ChunkTracker::new(Some(&spec), total).unwrap();
+            let mut now = 0u64;
+            for (reps, kind, pick, cycles, gap) in calls {
+                let elems = elems_of(kind, pel, pick);
+                now += gap;
+                batched.advance_repeat(reps, elems, cycles, now);
+                for _ in 0..reps {
+                    now += cycles;
+                    seq.advance(elems, now);
+                }
+                prop_assert_eq!(marks(&seq.timeline), marks(&batched.timeline));
+                prop_assert_eq!(&seq.timeline, &batched.timeline);
+                prop_assert_eq!((seq.progress, seq.emitted), (batched.progress, batched.emitted));
+            }
+            let emitted = batched.timeline.len();
+            let (seq, batched) = (seq.finish(now + tail), batched.finish(now + tail));
+            prop_assert_eq!(marks(&seq), marks(&batched));
+            prop_assert_eq!(batched.len(), emitted.max(total.div_ceil(pel).max(1)));
+            prop_assert_eq!(marks(&batched).last().copied(), Some(now + tail));
+            // Canonical runs: no empty run, no two neighbours alike.
+            prop_assert!(batched.runs().iter().all(|&(_, n)| n > 0));
+            prop_assert!(batched.runs().windows(2).all(|w| w[0].0 != w[1].0));
         }
     }
 

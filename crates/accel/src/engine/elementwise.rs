@@ -32,9 +32,11 @@ use omega_dataflow::{Dim, IntraTiling, Phase};
 
 use serde::{Deserialize, Serialize};
 
-use super::core::{actual_tile, loop_classes, run_phase, Footprint, PhaseEngine, PhaseWalk};
+use super::core::{
+    actual_tile, loop_classes, run_phase, with_marks, Footprint, PhaseEngine, PhaseWalk,
+};
 use super::{ChunkSide, EngineOptions, OperandClasses};
-use crate::{AccelConfig, PhaseStats};
+use crate::{AccelConfig, ChunkTimeline, PhaseStats};
 
 /// The elementwise operation a phase applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize, Serialize)]
@@ -101,6 +103,20 @@ pub fn simulate_elementwise(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
+    with_marks(simulate_elementwise_prepared(wl, tiling, cfg, classes, opts))
+}
+
+/// [`simulate_elementwise`] with the chunk timeline returned run-length
+/// encoded beside the stats instead of expanded into their `chunk_marks` —
+/// the elementwise form of the uniform `simulate_*_prepared` entry points
+/// (the workload is a few dimensions, so there is nothing to prepare).
+pub fn simulate_elementwise_prepared(
+    wl: &ElementwiseWorkload,
+    tiling: &IntraTiling,
+    cfg: &AccelConfig,
+    classes: &OperandClasses,
+    opts: &EngineOptions,
+) -> (PhaseStats, ChunkTimeline) {
     run_phase(&ElementwiseLeaf::new(wl, tiling), cfg, classes, opts)
 }
 

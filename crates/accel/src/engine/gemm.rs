@@ -4,11 +4,11 @@ use omega_dataflow::{Dim, IntraTiling, Phase};
 use serde::Serialize;
 
 use super::core::{
-    actual_tile, loop_classes, run_phase, Footprint, PhaseEngine, PhaseWalk, PreparedGemm,
-    SpillModel,
+    actual_tile, loop_classes, run_phase, with_marks, Footprint, PhaseEngine, PhaseWalk,
+    PreparedGemm, SpillModel,
 };
 use super::{ChunkSide, EngineOptions, OperandClasses};
-use crate::{AccelConfig, PhaseStats};
+use crate::{AccelConfig, ChunkTimeline, PhaseStats};
 
 /// Matrix dimensions of a GEMM phase: `Output[V×G] += A[V×F] · B[F×G]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -33,19 +33,20 @@ pub fn simulate_gemm(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
-    simulate_gemm_prepared(&PreparedGemm::new(dims), tiling, cfg, classes, opts)
+    with_marks(simulate_gemm_prepared(&PreparedGemm::new(dims), tiling, cfg, classes, opts))
 }
 
 /// [`simulate_gemm`] over a pre-built [`PreparedGemm`] — the uniform
 /// `simulate_*_prepared` entry point callers evaluating many tilings of one
-/// workload use for every phase kind.
+/// workload use for every phase kind. Returns the chunk timeline run-length
+/// encoded beside the stats instead of expanding it into their `chunk_marks`.
 pub fn simulate_gemm_prepared(
     prep: &PreparedGemm,
     tiling: &IntraTiling,
     cfg: &AccelConfig,
     classes: &OperandClasses,
     opts: &EngineOptions,
-) -> PhaseStats {
+) -> (PhaseStats, ChunkTimeline) {
     assert_eq!(tiling.phase(), Phase::Combination, "GEMM engine needs a Combination tiling");
     let leaf = GemmLeaf::new(prep.dims(), tiling, cfg);
     run_phase(&leaf, cfg, classes, opts)
@@ -497,9 +498,11 @@ mod tests {
         let mut opts = EngineOptions::plain(cfg.full_bandwidth());
         opts.chunk = Some(crate::engine::ChunkSpec { side: ChunkSide::Produce, pel: 11 });
         let a = simulate_gemm(dims, &t, &cfg, &OperandClasses::combination_ca(), &opts);
-        let b = simulate_gemm_prepared(&prep, &t, &cfg, &OperandClasses::combination_ca(), &opts);
+        let (b, timeline) =
+            simulate_gemm_prepared(&prep, &t, &cfg, &OperandClasses::combination_ca(), &opts);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.counters, b.counters);
-        assert_eq!(a.chunk_marks, b.chunk_marks);
+        assert!(b.chunk_marks.is_empty());
+        assert_eq!(a.chunk_marks, timeline.marks().collect::<Vec<_>>());
     }
 }

@@ -35,7 +35,9 @@ mod sddmm;
 mod spmm;
 
 pub use self::core::{PreparedGemm, PreparedSpmm};
-pub use elementwise::{simulate_elementwise, ElementwiseOp, ElementwiseWorkload};
+pub use elementwise::{
+    simulate_elementwise, simulate_elementwise_prepared, ElementwiseOp, ElementwiseWorkload,
+};
 pub use gemm::{simulate_gemm, simulate_gemm_prepared, GemmDims};
 pub use sddmm::{simulate_sddmm, simulate_sddmm_prepared, SddmmWorkload};
 pub use spmm::{simulate_spmm, simulate_spmm_prepared, SpmmWorkload};

@@ -39,12 +39,12 @@
 use omega_dataflow::{Dim, IntraTiling, Phase};
 
 use super::core::{
-    actual_tile, bandwidth_sweep, loop_classes, row_slice_runs, run_phase, split_ends,
+    actual_tile, bandwidth_sweep, loop_classes, row_slice_runs, run_phase, split_ends, with_marks,
     DegreeSummary, Footprint, PhaseEngine, PhaseWalk, PreparedSpmm, SliceRun, SpillModel,
     TileClass,
 };
 use super::{ChunkSide, EngineOptions, OperandClasses};
-use crate::{AccelConfig, OperandClass, PhaseStats};
+use crate::{AccelConfig, ChunkTimeline, OperandClass, PhaseStats};
 
 /// The workload of an SDDMM scoring phase: the adjacency degree structure,
 /// the per-head dot-product length, and the head count.
@@ -89,20 +89,15 @@ pub fn simulate_sddmm(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
-    simulate_sddmm_prepared(
-        &PreparedSpmm::new(wl.degrees),
-        wl.dot_width,
-        wl.heads,
-        tiling,
-        cfg,
-        classes,
-        opts,
-    )
+    let prep = PreparedSpmm::new(wl.degrees);
+    with_marks(simulate_sddmm_prepared(&prep, wl.dot_width, wl.heads, tiling, cfg, classes, opts))
 }
 
 /// [`simulate_sddmm`] over pre-hoisted degree structures ([`PreparedSpmm`] —
 /// the SDDMM and SpMM phases of one workload share the same adjacency, so the
-/// DSE prepares it once). Bit-identical to the plain entry point.
+/// DSE prepares it once). Bit-identical to the plain entry point, with the
+/// chunk timeline returned run-length encoded beside the stats instead of
+/// expanded into their `chunk_marks`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_sddmm_prepared(
     prep: &PreparedSpmm<'_>,
@@ -112,7 +107,7 @@ pub fn simulate_sddmm_prepared(
     cfg: &AccelConfig,
     classes: &OperandClasses,
     opts: &EngineOptions,
-) -> PhaseStats {
+) -> (PhaseStats, ChunkTimeline) {
     assert_eq!(tiling.phase(), Phase::Aggregation, "SDDMM engine needs a V/F/N tiling");
     let order = tiling.order();
     let pos_v = order.position(Dim::V).expect("V is an SDDMM dim");

@@ -3,11 +3,11 @@
 use omega_dataflow::{Dim, IntraTiling, Phase};
 
 use super::core::{
-    actual_tile, row_slice_runs, run_phase, split_ends, DegreeSummary, Footprint, PhaseEngine,
-    PhaseWalk, PreparedSpmm, SliceRun, SpillModel, TileClass,
+    actual_tile, row_slice_runs, run_phase, split_ends, with_marks, DegreeSummary, Footprint,
+    PhaseEngine, PhaseWalk, PreparedSpmm, SliceRun, SpillModel, TileClass,
 };
 use super::{ChunkSide, EngineOptions, OperandClasses};
-use crate::{AccelConfig, OperandClass, PhaseStats};
+use crate::{AccelConfig, ChunkTimeline, OperandClass, PhaseStats};
 
 /// The sparse workload of an Aggregation phase: the per-row stored non-zero
 /// counts of the CSR adjacency (degrees, including self loops) and the width of
@@ -51,11 +51,14 @@ pub fn simulate_spmm(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
-    simulate_spmm_prepared(&PreparedSpmm::new(wl.degrees), wl.feature_width, tiling, cfg, classes, opts)
+    let prep = PreparedSpmm::new(wl.degrees);
+    with_marks(simulate_spmm_prepared(&prep, wl.feature_width, tiling, cfg, classes, opts))
 }
 
 /// [`simulate_spmm`] over pre-hoisted degree structures — bit-identical to the
-/// plain entry point, but amortises the degree sorting across many calls.
+/// plain entry point, but amortises the degree sorting across many calls, and
+/// returns the chunk timeline run-length encoded beside the stats instead of
+/// expanding it into their `chunk_marks`.
 pub fn simulate_spmm_prepared(
     prep: &PreparedSpmm<'_>,
     feature_width: usize,
@@ -63,7 +66,7 @@ pub fn simulate_spmm_prepared(
     cfg: &AccelConfig,
     classes: &OperandClasses,
     opts: &EngineOptions,
-) -> PhaseStats {
+) -> (PhaseStats, ChunkTimeline) {
     assert_eq!(tiling.phase(), Phase::Aggregation, "SpMM engine needs an Aggregation tiling");
     let leaf = SpmmLeaf::new(prep, feature_width, tiling, cfg);
     run_phase(&leaf, cfg, classes, opts)

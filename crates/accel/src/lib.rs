@@ -13,10 +13,11 @@
 //!   (global buffer 1.046 pJ at 1 MB/bank, register file 0.053 pJ), plus
 //!   capacity-scaled energy for the PP intermediate partition.
 //! * [`stats`] — per-operand-class access counters ([`OperandClass`]) and
-//!   [`PhaseStats`], including the per-`Pel`-chunk timestamps the inter-phase
+//!   [`PhaseStats`], plus the per-`Pel`-chunk timestamps the inter-phase
 //!   cost model consumes (Section V-A1: "Some dataflows like PP require
 //!   timestamps for the portions of outputs computed for both the phases, which
-//!   are collected at the granularity of Pel").
+//!   are collected at the granularity of Pel"), recorded run-length encoded
+//!   as a [`ChunkTimeline`].
 //! * [`engine`] — a shared `PhaseEngine` core behind four leaf engines:
 //!   [`engine::simulate_gemm`] (Combination), [`engine::simulate_spmm`]
 //!   (Aggregation over CSR), [`engine::simulate_sddmm`] (adjacency-masked
@@ -65,4 +66,4 @@ pub use config::{AccelConfig, BandwidthShare, ModelKnobs};
 pub use energy::EnergyModel;
 pub use noc::{collection_cycles, distribution_cycles, tree_latency};
 pub use rf::RfBudget;
-pub use stats::{AccessCounters, OperandClass, PhaseStats, NUM_OPERAND_CLASSES};
+pub use stats::{AccessCounters, ChunkTimeline, OperandClass, PhaseStats, NUM_OPERAND_CLASSES};

@@ -126,6 +126,135 @@ impl AccessCounters {
     }
 }
 
+/// A phase's `Pel`-chunk timeline, run-length encoded: maximal runs of
+/// consecutive chunks with equal durations, as `(per-chunk duration, chunk
+/// count)`. A batched walk stamps a run of identical passes in O(1) and the
+/// PP composition reads it in O(runs), so a timeline of millions of chunks
+/// costs a few kilobytes. [`Self::marks`] expands the cumulative marks
+/// [`PhaseStats::chunk_marks`] reports.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChunkTimeline {
+    runs: Vec<(u64, u64)>,
+    len: u64,
+    end: u64,
+}
+
+impl ChunkTimeline {
+    /// An empty timeline.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The timeline of the cumulative `marks`; each chunk lasts
+    /// `mark − previous mark`, saturating at 0 like
+    /// [`PhaseStats::chunk_durations`].
+    pub fn from_marks(marks: &[u64]) -> Self {
+        let mut t = Self::new();
+        let mut prev = 0;
+        for &m in marks {
+            t.push(m.saturating_sub(prev), 1);
+            prev = m;
+        }
+        t
+    }
+
+    /// Appends `count` chunks of `duration` cycles each, extending the last
+    /// run when its duration is the same.
+    #[inline]
+    pub fn push(&mut self, duration: u64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some((d, n)) if *d == duration => *n += count,
+            _ => self.runs.push((duration, count)),
+        }
+        self.len += count;
+        self.end += duration * count;
+    }
+
+    /// Appends one chunk ending at cumulative time `mark` (≥ [`Self::end`]).
+    #[inline]
+    pub(crate) fn push_mark(&mut self, mark: u64) {
+        debug_assert!(mark >= self.end, "chunk marks must not decrease");
+        self.push(mark - self.end, 1);
+    }
+
+    /// Moves the last chunk's end to cumulative time `mark` (no earlier than
+    /// the chunk before it ends). No-op on an empty timeline.
+    pub(crate) fn retime_last(&mut self, mark: u64) {
+        let Some((d, n)) = self.runs.last_mut() else { return };
+        let d = *d;
+        *n -= 1;
+        if *n == 0 {
+            self.runs.pop();
+        }
+        self.len -= 1;
+        self.end -= d;
+        self.push_mark(mark);
+    }
+
+    /// Number of chunks.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// `true` when the timeline holds no chunk.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The sum of the chunk durations: the last mark.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// The runs, as `(per-chunk duration, chunk count)` in chunk order; no
+    /// count is 0 and no two neighbours share a duration.
+    pub fn runs(&self) -> &[(u64, u64)] {
+        &self.runs
+    }
+
+    /// The cumulative chunk marks, expanded lazily.
+    pub fn marks(&self) -> Marks<'_> {
+        Marks { runs: self.runs.iter(), duration: 0, left: 0, at: 0, remaining: self.len }
+    }
+}
+
+/// The cumulative marks of a [`ChunkTimeline`], in chunk order
+/// ([`ChunkTimeline::marks`]). Exact-size, so collecting them allocates once.
+#[derive(Debug, Clone)]
+pub struct Marks<'a> {
+    runs: std::slice::Iter<'a, (u64, u64)>,
+    /// Duration and chunks left of the run being expanded.
+    duration: u64,
+    left: u64,
+    /// The last mark yielded.
+    at: u64,
+    remaining: u64,
+}
+
+impl Iterator for Marks<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        while self.left == 0 {
+            (self.duration, self.left) = *self.runs.next()?;
+        }
+        self.left -= 1;
+        self.remaining -= 1;
+        self.at += self.duration;
+        Some(self.at)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining as usize, Some(self.remaining as usize))
+    }
+}
+
+impl ExactSizeIterator for Marks<'_> {}
+
 /// Result of simulating one phase under one intra-phase dataflow.
 #[derive(Debug, Clone, Deserialize, Serialize)]
 pub struct PhaseStats {
@@ -172,12 +301,6 @@ impl PhaseStats {
             rf_peak_bytes: 0,
             gb_peak_bytes: 0,
         }
-    }
-
-    /// A copy without the chunk timeline: what a search keeps of a phase once
-    /// the pipeline composition has consumed the marks.
-    pub fn without_timeline(&self) -> Self {
-        PhaseStats { chunk_marks: Vec::new(), ..*self }
     }
 
     /// Per-chunk durations derived from the cumulative marks.
@@ -232,6 +355,27 @@ mod tests {
         assert_eq!(a.gb_of(OperandClass::Output), 4);
         assert_eq!(a.rf_reads, 7);
         assert_eq!(a.rf_writes, 2);
+    }
+
+    #[test]
+    fn chunk_timeline_merges_runs_and_expands_its_marks() {
+        let mut t = ChunkTimeline::new();
+        assert!(t.is_empty() && t.marks().next().is_none());
+        t.push(4, 2);
+        t.push(4, 1); // extends the run
+        t.push(0, 0); // no chunk, no run
+        t.push_mark(20);
+        t.push(3, 2);
+        assert_eq!(t.runs(), [(4, 3), (8, 1), (3, 2)]);
+        assert_eq!((t.len(), t.end()), (6, 26));
+        assert_eq!(t.marks().collect::<Vec<_>>(), [4, 8, 12, 20, 23, 26]);
+        assert_eq!(ChunkTimeline::from_marks(&[4, 8, 12, 20, 23, 26]), t);
+        t.retime_last(30);
+        assert_eq!(t.runs(), [(4, 3), (8, 1), (3, 1), (7, 1)]);
+        t.retime_last(26); // back onto the run it left
+        assert_eq!(t.runs(), [(4, 3), (8, 1), (3, 2)]);
+        // Falling marks saturate like `chunk_durations`.
+        assert_eq!(ChunkTimeline::from_marks(&[5, 3, 12]).runs(), [(5, 1), (0, 1), (9, 1)]);
     }
 
     #[test]

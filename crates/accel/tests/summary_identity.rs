@@ -274,7 +274,7 @@ fn prepared_summary_build_cost_is_one_shot_and_reference_rescans() {
 
     telemetry::reset_prepare_ops();
     let prep = PreparedSpmm::new(&degrees);
-    let first = simulate_spmm_prepared(&prep, 32, &t, &cfg, &classes, &opts);
+    let (first, _) = simulate_spmm_prepared(&prep, 32, &t, &cfg, &classes, &opts);
     let built = telemetry::prepare_ops();
     assert!(built > 0, "summary build must be visible to the counter");
     assert!(
@@ -282,13 +282,13 @@ fn prepared_summary_build_cost_is_one_shot_and_reference_rescans() {
         "summary build cost {built} is not O(V + classes) for V = {v}"
     );
 
-    let second = simulate_spmm_prepared(&prep, 32, &t, &cfg, &classes, &opts);
+    let (second, _) = simulate_spmm_prepared(&prep, 32, &t, &cfg, &classes, &opts);
     assert_eq!(telemetry::prepare_ops(), built, "second simulation rebuilt summary state");
     assert_same(&first, &second, "prepared re-simulation");
 
     let mut oracle = opts;
     oracle.reference_walk = true;
-    let r1 = simulate_spmm_prepared(&prep, 32, &t, &cfg, &classes, &oracle);
+    let (r1, _) = simulate_spmm_prepared(&prep, 32, &t, &cfg, &classes, &oracle);
     let after_first_oracle = telemetry::prepare_ops();
     assert!(after_first_oracle > built, "reference walk must scan tiles");
     assert_same(&first, &r1, "oracle vs prepared summary");

@@ -52,12 +52,12 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use omega_accel::{AccelConfig, PhaseStats};
+use omega_accel::AccelConfig;
 use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
 use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, IntraPattern, MappingSpec};
 
-use crate::evaluate::{EvalPlan, PhaseKey, MAX_CACHED_MARKS};
+use crate::evaluate::{EvalPlan, PhaseKey, PhaseResult, MAX_CACHED_MARKS};
 use crate::mapper::{refine_tiles, Objective};
 use crate::{CostReport, GnnWorkload, PreparedEval};
 
@@ -630,11 +630,12 @@ pub fn explore_cancellable(
 /// that the pruning threshold tightens often; 32–256 measured alike.
 const WAVE: usize = 64;
 
-/// Timeline entries a wave may hold in results too big to memoise
-/// (`MAX_CACHED_MARKS`), 32 MiB of marks: a wave keeps every result it
-/// simulates until its candidates are composed, so degenerately tiled PP
-/// candidates, whose timelines run to millions of marks, go a few at a time.
-/// A wave always admits its first candidate.
+/// Timeline chunks a wave may hold in results too big to memoise (more than
+/// `MAX_CACHED_MARKS` chunks): a wave keeps every result it simulates until
+/// its candidates are composed, so degenerately tiled PP candidates, whose
+/// timelines run to millions of chunks, go a few at a time. The cap counts
+/// chunks, not runs, so it bounds even a timeline that does not compress
+/// (one run per chunk). A wave always admits its first candidate.
 const WAVE_TIMELINE: u64 = 1 << 22;
 
 /// The plan-first, bound-ordered sweep of [`explore_cancellable`]: what every
@@ -674,12 +675,12 @@ struct SweepState {
     /// Each phase's result: memoised, or simulated for the wave in flight. A
     /// result too big to memoise is dropped after its wave, so it is
     /// simulated once per wave that needs it.
-    stats: Vec<Option<Arc<PhaseStats>>>,
+    stats: Vec<Option<Arc<PhaseResult>>>,
     /// Per phase id, the last wave that queued it for simulation.
     queued: Vec<usize>,
     /// Number of the wave being set up (from 1).
     wave: usize,
-    /// Timeline entries the wave being set up holds in results too big to
+    /// Timeline chunks the wave being set up holds in results too big to
     /// memoise.
     timeline: u64,
     /// Preset seeds not yet admitted (taken by the first wave).
@@ -748,8 +749,8 @@ impl Sweep<'_, '_> {
             for (&id, stats) in st.todo.iter().zip(sims) {
                 st.stats[id] = Some(stats);
             }
-            // Retained reports drop their chunk timelines: a poorly-tiled PP
-            // candidate's marks run to millions of entries.
+            // Retained reports never expand the chunk timelines: a
+            // poorly-tiled PP candidate's run to millions of chunks.
             let reports = self.map(st.cands.len(), |i| {
                 let c = &st.cands[i];
                 let phases = c.phases.iter().map(|&id| {
@@ -793,7 +794,7 @@ impl Sweep<'_, '_> {
             }
         }
         for &id in &st.todo {
-            if st.stats[id].as_ref().is_some_and(|s| s.chunk_marks.len() > MAX_CACHED_MARKS) {
+            if st.stats[id].as_ref().is_some_and(|s| s.1.len() > MAX_CACHED_MARKS) {
                 st.stats[id] = None;
             }
         }
@@ -868,13 +869,13 @@ impl Sweep<'_, '_> {
         }
     }
 
-    /// Timeline entries of the results `plan` would add to the wave being set
+    /// Timeline chunks of the results `plan` would add to the wave being set
     /// up that are too big to memoise.
     fn new_timeline(&self, st: &SweepState, plan: &EvalPlan) -> u64 {
         plan.keys()
             .map(|key| (key, self.prep.timeline_len(key)))
             .filter(|&(key, len)| {
-                len > MAX_CACHED_MARKS as u64
+                len > MAX_CACHED_MARKS
                     && st.ids.get(key).is_none_or(|&id| st.queued[id] != st.wave)
             })
             .map(|(_, len)| len)

@@ -35,7 +35,7 @@ use omega_dataflow::GnnDataflow;
 use super::{par_map, CancelToken, DseCache, DseOptions, Entry, ParetoFront, TopK, WAVE};
 use crate::mapper::Objective;
 use crate::models::{to_chain, uniform_layer_dataflows, GnnModel, ModelError};
-use crate::multiphase::{evaluate_chain, ChainReport, Link, PartitionSplit};
+use crate::multiphase::{evaluate_chain_with, ChainReport, Link, PartitionSplit};
 use crate::GnnWorkload;
 
 /// Tuning knobs of a model-level exploration.
@@ -433,8 +433,21 @@ pub fn evaluate_mapping(
     cfg: &AccelConfig,
     objective: Objective,
 ) -> Result<(f64, ChainReport), ModelError> {
+    evaluate_mapping_with(model, base, mapping, cfg, objective, true)
+}
+
+/// [`evaluate_mapping`], with the stages' `chunk_marks` expanded only with
+/// `timelines` ([`evaluate_chain_with`]).
+fn evaluate_mapping_with(
+    model: &GnnModel,
+    base: &GnnWorkload,
+    mapping: &ModelMapping,
+    cfg: &AccelConfig,
+    objective: Objective,
+    timelines: bool,
+) -> Result<(f64, ChainReport), ModelError> {
     let chain = to_chain(model, base, &mapping.layer_dataflows, &mapping.links, cfg)?;
-    let report = evaluate_chain(&chain, cfg)?;
+    let report = evaluate_chain_with(&chain, cfg, timelines)?;
     Ok((objective.score_chain(&report), report))
 }
 
@@ -458,14 +471,10 @@ pub fn explore_model(
     let total = space.len();
     let threads = opts.threads.max(1);
 
+    // Winners don't need the per-chunk pipeline timelines; keep retention
+    // memory bounded (re-evaluate a winner to recover them).
     let score_mapping = |m: &ModelMapping| -> Option<(f64, ChainReport)> {
-        let (s, mut r) = evaluate_mapping(model, base, m, cfg, opts.objective).ok()?;
-        // Winners don't need the per-chunk pipeline timelines; keep retention
-        // memory bounded (re-evaluate a winner to recover them).
-        for (_, stats) in &mut r.stages {
-            stats.chunk_marks = Vec::new();
-        }
-        Some((s, r))
+        evaluate_mapping_with(model, base, m, cfg, opts.objective, false).ok()
     };
     // The joint sweep never prunes, so the Pareto frontier can ride along the
     // scalar search without affecting it: every evaluated chain is offered.

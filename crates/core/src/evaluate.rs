@@ -17,12 +17,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use omega_accel::engine::{
-    simulate_elementwise, simulate_gemm_prepared, simulate_sddmm_prepared, simulate_spmm_prepared,
-    CapacityBudget, ChunkSide, ChunkSpec, ElementwiseWorkload, EngineOptions, GemmDims,
-    OperandClasses, PreparedGemm, PreparedSpmm,
+    simulate_elementwise_prepared, simulate_gemm_prepared, simulate_sddmm_prepared,
+    simulate_spmm_prepared, CapacityBudget, ChunkSide, ChunkSpec, ElementwiseWorkload,
+    EngineOptions, GemmDims, OperandClasses, PreparedGemm, PreparedSpmm,
 };
 use omega_accel::{
-    AccelConfig, AccessCounters, BandwidthShare, EnergyModel, OperandClass, PhaseStats,
+    AccelConfig, AccessCounters, BandwidthShare, ChunkTimeline, EnergyModel, OperandClass,
+    PhaseStats,
 };
 use omega_dataflow::{
     validate, validate_elementwise, validate_sddmm, Dim, GnnDataflow, Granularity, InterPhase,
@@ -30,7 +31,7 @@ use omega_dataflow::{
 };
 
 use crate::cost::{CostReport, EnergyBreakdown, IntermediateCost};
-use crate::pipeline::pipeline_runtime_of_marks;
+use crate::pipeline::pipeline_runtime_of_timelines;
 use crate::GnnWorkload;
 
 /// Evaluation failure.
@@ -77,6 +78,10 @@ pub fn evaluate(
 ) -> Result<CostReport, EvalError> {
     PreparedEval::new(workload, cfg).evaluate(dataflow)
 }
+
+/// One simulated phase: its stats, without `chunk_marks`, and its chunk
+/// timeline, run-length encoded.
+pub(crate) type PhaseResult = (PhaseStats, ChunkTimeline);
 
 /// One phase simulation, fully specified modulo the workload held by the
 /// surrounding [`PreparedEval`]. Doubles as the [`PhaseSimCache`] key: two
@@ -366,7 +371,7 @@ impl<'a> PreparedEval<'a> {
     }
 
     /// Runs one planned phase simulation.
-    pub(crate) fn simulate(&self, key: &PhaseKey) -> PhaseStats {
+    pub(crate) fn simulate(&self, key: &PhaseKey) -> PhaseResult {
         match key {
             PhaseKey::Spmm { width, tiling, classes, opts } => {
                 simulate_spmm_prepared(&self.spmm, *width, tiling, self.cfg, classes, opts)
@@ -383,7 +388,7 @@ impl<'a> PreparedEval<'a> {
                 )
             }
             PhaseKey::Elementwise { wl, tiling, classes, opts } => {
-                simulate_elementwise(wl, tiling, self.cfg, classes, opts)
+                simulate_elementwise_prepared(wl, tiling, self.cfg, classes, opts)
             }
         }
     }
@@ -392,16 +397,16 @@ impl<'a> PreparedEval<'a> {
     /// [`EvalPlan::keys`] order, into the inter-phase cost report (Table III;
     /// an attention workload's SDDMM phase adds sequentially up front) — the
     /// shared tail of every evaluation entry point, and how the DSE scores a
-    /// candidate once its wave's simulations are done. Without `timelines` the
-    /// report's phases drop their chunk marks (the composition still reads
-    /// them), which keeps a search's retained reports small; re-evaluate a
-    /// winner to recover them.
+    /// candidate once its wave's simulations are done. The PP total is
+    /// composed run-wise from the timelines; only with `timelines` are they
+    /// expanded into the report's `chunk_marks`, so a search's retained
+    /// reports stay small (re-evaluate a winner to recover them).
     pub(crate) fn compose_from(
         &self,
         dataflow: &GnnDataflow,
         plan: &EvalPlan,
         timelines: bool,
-        mut phases: impl Iterator<Item = Arc<PhaseStats>>,
+        mut phases: impl Iterator<Item = Arc<PhaseResult>>,
     ) -> CostReport {
         let mut next = || phases.next().expect("one result per planned phase");
         let sddmm = plan.sddmm.as_ref().map(|_| next());
@@ -411,7 +416,7 @@ impl<'a> PreparedEval<'a> {
         let cfg = self.cfg;
         let (total_cycles, buffering, partition_bytes) = match dataflow.inter {
             InterPhase::Sequential => (
-                agg.cycles + cmb.cycles,
+                agg.0.cycles + cmb.0.cycles,
                 workload.intermediate_elems(dataflow.phase_order),
                 None,
             ),
@@ -419,13 +424,13 @@ impl<'a> PreparedEval<'a> {
                 // Table III: SP-Generic stages Pel elements through the GB;
                 // SP-Optimized keeps the intermediate in the RFs (zero buffering).
                 let buffering = if plan.sp_optimized { 0 } else { plan.pel.unwrap_or(0) };
-                (agg.cycles + cmb.cycles, buffering, None)
+                (agg.0.cycles + cmb.0.cycles, buffering, None)
             }
             InterPhase::ParallelPipeline => {
                 let pel_elems = plan.pel.expect("validated PP dataflow has a granularity");
                 let producer_is_agg = dataflow.phase_order == PhaseOrder::AC;
                 let (producer, consumer) = if producer_is_agg { (&agg, &cmb) } else { (&cmb, &agg) };
-                let total = pipeline_runtime_of_marks(&producer.chunk_marks, &consumer.chunk_marks);
+                let total = pipeline_runtime_of_timelines(&producer.1, &consumer.1);
                 // Ping-pong buffering: 2 × Pel (Table III).
                 let buffering = 2 * pel_elems;
                 (total, buffering, Some((buffering as usize) * cfg.word_bytes))
@@ -439,17 +444,17 @@ impl<'a> PreparedEval<'a> {
         // needs the complete layer output (LayerNorm's stats sweep reads whole
         // rows), so its cycles add at the end.
         let total_cycles = total_cycles
-            + sddmm.as_ref().map_or(0, |s| s.cycles)
-            + post.as_ref().map_or(0, |s| s.cycles);
+            + sddmm.as_ref().map_or(0, |s| s.0.cycles)
+            + post.as_ref().map_or(0, |s| s.0.cycles);
 
         let mut counters = AccessCounters::default();
         if let Some(s) = &sddmm {
-            counters.merge(&s.counters);
+            counters.merge(&s.0.counters);
         }
-        counters.merge(&agg.counters);
-        counters.merge(&cmb.counters);
+        counters.merge(&agg.0.counters);
+        counters.merge(&cmb.0.counters);
         if let Some(s) = &post {
-            counters.merge(&s.counters);
+            counters.merge(&s.0.counters);
         }
         // Fig. 6 / Section IV-A: Seq stages the whole intermediate on chip;
         // whatever does not fit the GB moves through DRAM instead. The
@@ -477,7 +482,8 @@ impl<'a> PreparedEval<'a> {
         // elementwise suffix run alone on the full array (max). The Table III
         // intermediate buffering coexists with whichever phase is running, so
         // its bytes add on top.
-        let phase_peak = |s: &PhaseStats| -> u64 {
+        let phase_peak = |s: &PhaseResult| -> u64 {
+            let s = &s.0;
             s.gb_peak_bytes.saturating_add(s.rf_peak_bytes.saturating_mul(s.pe_footprint as u64))
         };
         let matrix_pair = match dataflow.inter {
@@ -489,14 +495,12 @@ impl<'a> PreparedEval<'a> {
             .max(post.as_deref().map_or(0, phase_peak))
             .saturating_add(buffering.saturating_mul(cfg.word_bytes as u64));
 
-        // The report takes the phase results: moved when this was their only
-        // handle (a direct simulation), copied otherwise.
-        let keep = |s: Arc<PhaseStats>| {
+        let keep = |s: Arc<PhaseResult>| {
+            let mut stats = s.0.clone();
             if timelines {
-                Arc::unwrap_or_clone(s)
-            } else {
-                s.without_timeline()
+                stats.chunk_marks = s.1.marks().collect();
             }
+            stats
         };
         CostReport {
             dataflow: *dataflow,
@@ -541,8 +545,8 @@ impl<'a> PreparedEval<'a> {
             }
     }
 
-    /// Entries of the chunk timeline `key`'s simulation records: one mark per
-    /// `Pel` chunk of the side the engine tracks (its `chunk_total` over
+    /// Chunks of the timeline `key`'s simulation records: one per `Pel`
+    /// chunk of the side the engine tracks (its `chunk_total` over
     /// `pel`), none without a chunk spec. Only a `ParallelPipeline` plan's
     /// matrix phases carry one. Known before simulating, so the DSE can size
     /// its waves by the results it will have to hold.
@@ -718,21 +722,22 @@ struct PhaseFloor {
 /// A single-threaded memo of phase simulations for one
 /// [`PreparedEval`]-prepared workload, keyed by the full phase plan.
 ///
-/// Purely an execution optimisation: hits return the exact [`PhaseStats`] the
-/// engine would recompute, so cached and uncached evaluations are
-/// bit-identical. Entries whose chunk timelines are enormous (degenerately
-/// tiled PP candidates) are recomputed instead of cached to keep the memo's
-/// footprint bounded.
+/// Purely an execution optimisation: hits return the exact [`PhaseStats`] and
+/// chunk timeline the engine would recompute, so cached and uncached
+/// evaluations are bit-identical. Entries whose chunk timelines are enormous
+/// (degenerately tiled PP candidates) are recomputed instead of cached to keep
+/// the memo's footprint bounded.
 #[derive(Debug, Default)]
 pub struct PhaseSimCache {
-    inner: RefCell<HashMap<PhaseKey, Arc<PhaseStats>>>,
+    inner: RefCell<HashMap<PhaseKey, Arc<PhaseResult>>>,
     hits: Cell<usize>,
     misses: Cell<usize>,
 }
 
-/// Chunk-timeline length above which a simulation is recomputed per use rather
-/// than cached (a degenerately-tiled PP candidate can mark millions of chunks).
-pub(crate) const MAX_CACHED_MARKS: usize = 1 << 16;
+/// Chunk-timeline length (in chunks) above which a simulation is recomputed
+/// per use rather than cached (a degenerately-tiled PP candidate can mark
+/// millions of chunks).
+pub(crate) const MAX_CACHED_MARKS: u64 = 1 << 16;
 
 impl PhaseSimCache {
     /// An empty cache.
@@ -762,14 +767,14 @@ impl PhaseSimCache {
     }
 
     /// The stats for `key`, simulated via `prep` on miss.
-    fn stats(&self, prep: &PreparedEval<'_>, key: &PhaseKey) -> Arc<PhaseStats> {
+    fn stats(&self, prep: &PreparedEval<'_>, key: &PhaseKey) -> Arc<PhaseResult> {
         if let Some(hit) = self.inner.borrow().get(key) {
             self.hits.set(self.hits.get() + 1);
             return Arc::clone(hit);
         }
         self.misses.set(self.misses.get() + 1);
         let stats = Arc::new(prep.simulate(key));
-        if stats.chunk_marks.len() <= MAX_CACHED_MARKS {
+        if stats.1.len() <= MAX_CACHED_MARKS {
             self.inner.borrow_mut().insert(*key, Arc::clone(&stats));
         }
         stats
@@ -1207,7 +1212,7 @@ mod tests {
         for df in crate::mapper::extended_candidates(&wl, &cfg) {
             let plan = prep.plan(&df).expect("presets are valid");
             for key in plan.keys() {
-                let marks = prep.simulate(key).chunk_marks.len() as u64;
+                let marks = prep.simulate(key).1.len();
                 assert_eq!(prep.timeline_len(key), marks, "{df} {key:?}");
                 if let PhaseKey::Spmm { opts, .. } | PhaseKey::Gemm { opts, .. } = key {
                     sides.extend(opts.chunk.map(|c| format!("{:?}", c.side)));

@@ -22,15 +22,16 @@
 use serde::Serialize;
 
 use omega_accel::engine::{
-    simulate_elementwise, simulate_gemm, simulate_sddmm, simulate_spmm, ChunkSide, ChunkSpec,
-    ElementwiseOp, ElementwiseWorkload, EngineOptions, GemmDims, OperandClasses, SddmmWorkload,
-    SpmmWorkload,
+    simulate_elementwise_prepared, simulate_gemm_prepared, simulate_sddmm_prepared,
+    simulate_spmm_prepared, ChunkSide, ChunkSpec, ElementwiseOp, ElementwiseWorkload,
+    EngineOptions, GemmDims, OperandClasses, PreparedGemm, PreparedSpmm,
 };
 use omega_accel::{AccelConfig, AccessCounters, EnergyModel, OperandClass, PhaseStats};
 use omega_dataflow::IntraTiling;
 
 use crate::cost::EnergyBreakdown;
-use crate::pipeline::pipeline_runtime_of_marks;
+use crate::evaluate::PhaseResult;
+use crate::pipeline::pipeline_runtime_of_timelines;
 
 /// One kernel stage of a multiphase chain.
 #[derive(Debug, Clone)]
@@ -181,32 +182,34 @@ impl Stage {
         self
     }
 
-    fn run(&self, cfg: &AccelConfig, opts: &EngineOptions) -> PhaseStats {
+    fn run(&self, cfg: &AccelConfig, opts: &EngineOptions) -> PhaseResult {
         let mut opts = *opts;
         opts.input_resident |= self.input_resident;
         opts.output_stays_local |= self.output_stays_local;
         opts.scores_resident |= self.scores_resident;
         match &self.kind {
             StageKind::Gemm { dims, tiling } => {
-                simulate_gemm(*dims, tiling, cfg, &OperandClasses::combination_ac(), &opts)
+                let classes = OperandClasses::combination_ac();
+                simulate_gemm_prepared(&PreparedGemm::new(*dims), tiling, cfg, &classes, &opts)
             }
             StageKind::Spmm { degrees, width, tiling } => {
-                let wl = SpmmWorkload { degrees, feature_width: *width };
                 let classes = if self.gathers_scores || self.scores_resident {
                     OperandClasses::aggregation_gat()
                 } else {
                     OperandClasses::aggregation_ac()
                 };
-                simulate_spmm(&wl, tiling, cfg, &classes, &opts)
+                let prep = PreparedSpmm::new(degrees);
+                simulate_spmm_prepared(&prep, *width, tiling, cfg, &classes, &opts)
             }
             StageKind::Sddmm { degrees, dot_width, heads, tiling } => {
-                let wl = SddmmWorkload { degrees, dot_width: *dot_width, heads: *heads };
-                simulate_sddmm(&wl, tiling, cfg, &OperandClasses::sddmm(), &opts)
+                let prep = PreparedSpmm::new(degrees);
+                let classes = OperandClasses::sddmm();
+                simulate_sddmm_prepared(&prep, *dot_width, *heads, tiling, cfg, &classes, &opts)
             }
             StageKind::Elementwise { rows, width, op, tiling } => {
                 let wl = ElementwiseWorkload { rows: *rows, width: *width, op: *op };
                 let classes = OperandClasses::elementwise_on(OperandClass::Output);
-                simulate_elementwise(&wl, tiling, cfg, &classes, &opts)
+                simulate_elementwise_prepared(&wl, tiling, cfg, &classes, &opts)
             }
         }
     }
@@ -424,6 +427,17 @@ impl std::error::Error for ChainError {}
 /// on both sides, or a partitioned link whose PE allocation cannot hold its
 /// stage (or oversubscribes the machine).
 pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, ChainError> {
+    evaluate_chain_with(chain, cfg, true)
+}
+
+/// [`evaluate_chain`], expanding the stages' chunk timelines into their
+/// `chunk_marks` only with `timelines`; the pipelined totals are composed
+/// run-wise either way.
+pub(crate) fn evaluate_chain_with(
+    chain: &Chain,
+    cfg: &AccelConfig,
+    timelines: bool,
+) -> Result<ChainReport, ChainError> {
     if chain.links.len() + 1 != chain.nodes.len() {
         return Err(ChainError::LinkCountMismatch {
             nodes: chain.nodes.len(),
@@ -431,12 +445,11 @@ pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, C
         });
     }
     let full_bw = cfg.full_bandwidth();
-    let mut stages: Vec<(String, PhaseStats)> = Vec::new();
     let mut total: u64 = 0;
 
     // Pre-run every node, attaching chunk specs where a pipelined link needs
     // producer/consumer timestamps.
-    let mut node_stats: Vec<Vec<(String, PhaseStats)>> = Vec::with_capacity(chain.nodes.len());
+    let mut node_stats: Vec<Vec<(String, PhaseResult)>> = Vec::with_capacity(chain.nodes.len());
     for (i, node) in chain.nodes.iter().enumerate() {
         let produce = chain.links.get(i).and_then(|l| match l {
             Link::Pipelined { pel, split } => Some((*pel, *split)),
@@ -525,23 +538,23 @@ pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, C
     let phase_peak = |s: &PhaseStats| -> u64 {
         s.gb_peak_bytes.saturating_add(s.rf_peak_bytes.saturating_mul(s.pe_footprint as u64))
     };
-    let node_peak = |group: &[(String, PhaseStats)]| -> u64 {
-        group.iter().map(|(_, s)| phase_peak(s)).fold(0u64, u64::saturating_add)
+    let node_peak = |group: &[(String, PhaseResult)]| -> u64 {
+        group.iter().map(|(_, (s, _))| phase_peak(s)).fold(0u64, u64::saturating_add)
     };
     let mut buffer_peak_bytes: u64 = 0;
     let mut i = 0;
     while i < chain.nodes.len() {
         if let Some(Link::Pipelined { pel, .. }) = chain.links.get(i) {
-            let producer = &node_stats[i][0].1;
-            let consumer = &node_stats[i + 1][0].1;
-            total += pipeline_runtime_of_marks(&producer.chunk_marks, &consumer.chunk_marks);
+            let (_, producer) = &node_stats[i][0].1;
+            let (_, consumer) = &node_stats[i + 1][0].1;
+            total += pipeline_runtime_of_timelines(producer, consumer);
             let step = node_peak(&node_stats[i])
                 .saturating_add(node_peak(&node_stats[i + 1]))
                 .saturating_add(2 * pel * cfg.word_bytes as u64);
             buffer_peak_bytes = buffer_peak_bytes.max(step);
             i += 2;
         } else {
-            let node_cycles = node_stats[i].iter().map(|(_, s)| s.cycles).max().unwrap_or(0);
+            let node_cycles = node_stats[i].iter().map(|(_, (s, _))| s.cycles).max().unwrap_or(0);
             total += node_cycles;
             buffer_peak_bytes = buffer_peak_bytes.max(node_peak(&node_stats[i]));
             i += 1;
@@ -550,13 +563,20 @@ pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, C
 
     let mut counters = AccessCounters::default();
     for group in &node_stats {
-        for (_, s) in group {
+        for (_, (s, _)) in group {
             counters.merge(&s.counters);
         }
     }
-    for group in node_stats {
-        stages.extend(group);
-    }
+    let stages: Vec<(String, PhaseStats)> = node_stats
+        .into_iter()
+        .flatten()
+        .map(|(name, (mut s, timeline))| {
+            if timelines {
+                s.chunk_marks = timeline.marks().collect();
+            }
+            (name, s)
+        })
+        .collect();
     let energy = EnergyBreakdown::from_counters(&counters, &EnergyModel::paper_default(), None);
     Ok(ChainReport { stages, total_cycles: total, counters, energy, buffer_peak_bytes })
 }

@@ -1,5 +1,7 @@
 //! The PP pipeline schedule (Section IV-C).
 
+use omega_accel::ChunkTimeline;
+
 /// Total runtime of a two-stage pipeline over per-chunk durations.
 ///
 /// The producer works on chunk `i` while the consumer processes chunk `i−1`
@@ -57,69 +59,81 @@ pub fn resample_durations(durations: &[u64], k: usize) -> Vec<u64> {
     out
 }
 
-/// The PP composition straight from the two phases' cumulative chunk marks:
-/// [`pipeline_runtime`] over their durations, the consumer resampled to the
-/// producer's chunk count ([`resample_durations`]) when the counts differ, and
-/// an empty producer timeline read as one zero-length chunk. Streams both
-/// sequences instead of materialising them, since a degenerately tiled PP
-/// phase marks millions of chunks.
-pub(crate) fn pipeline_runtime_of_marks(producer: &[u64], consumer: &[u64]) -> u64 {
-    fn durations(marks: &[u64]) -> impl Iterator<Item = u64> + '_ {
-        let mut prev = 0u64;
-        marks.iter().map(move |&m| {
-            let d = m.saturating_sub(prev);
-            prev = m;
-            d
-        })
-    }
+/// The PP composition straight from the two phases' run-length chunk
+/// timelines: [`pipeline_runtime`] over their durations, the consumer
+/// resampled to the producer's chunk count ([`resample_durations`]) when the
+/// counts differ, and an empty producer timeline read as one zero-length
+/// chunk. Equal counts take O(runs of both) steps, since a pipeline step over
+/// a stretch where both sides repeat their durations repeats too; the
+/// resampled consumer is generated chunk by chunk (O(chunks)).
+pub(crate) fn pipeline_runtime_of_timelines(
+    producer: &ChunkTimeline,
+    consumer: &ChunkTimeline,
+) -> u64 {
     let k = producer.len().max(1);
-    let p = durations(producer).chain(std::iter::once(0)).take(k);
+    let p = producer.runs().iter().copied().chain(producer.is_empty().then_some((0, 1)));
     if consumer.len() == k {
-        return pipeline_over(p, durations(consumer));
+        return pipeline_over_runs(p, consumer.runs().iter().copied());
     }
-    let total: u64 = durations(consumer).sum();
-    let mark = move |i: usize| (total as u128 * i as u128 / k as u128) as u64;
-    pipeline_over(p, (1..=k).map(move |i| mark(i) - mark(i - 1)))
+    let total = consumer.end();
+    let mark = move |i: u64| (total as u128 * i as u128 / k as u128) as u64;
+    pipeline_over_runs(p, (1..=k).map(move |i| (mark(i) - mark(i - 1), 1)))
 }
 
-/// [`pipeline_runtime`] over two equally long duration streams (at least one
-/// chunk each).
-fn pipeline_over(
-    mut producer: impl Iterator<Item = u64>,
-    mut consumer: impl Iterator<Item = u64>,
+/// [`pipeline_runtime`] over two `(duration, count)` run streams holding the
+/// same number of chunks (at least one). The steps pair producer chunk
+/// `i + 1` with consumer chunk `i`, so each step of the merge advances both
+/// streams by the shorter of their current runs.
+fn pipeline_over_runs(
+    mut producer: impl Iterator<Item = (u64, u64)>,
+    mut consumer: impl Iterator<Item = (u64, u64)>,
 ) -> u64 {
-    let mut total = producer.next().expect("at least one chunk");
-    for p in producer {
-        total += p.max(consumer.next().expect("equal lengths"));
+    let (first, n) = producer.next().expect("at least one chunk");
+    let mut total = first;
+    let (mut p, mut c) = ((first, n - 1), (0, 0));
+    loop {
+        if p.1 == 0 {
+            match producer.next() {
+                Some(run) => p = run,
+                None => break,
+            }
+        }
+        if c.1 == 0 {
+            c = consumer.next().expect("equal lengths");
+        }
+        let step = p.1.min(c.1);
+        total += step * p.0.max(c.0);
+        p.1 -= step;
+        c.1 -= step;
     }
-    total + consumer.next().expect("equal lengths")
+    if c.1 == 0 {
+        c = consumer.next().expect("equal lengths");
+    }
+    debug_assert!(c.1 == 1 && consumer.next().is_none(), "equal lengths");
+    total + c.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The composition over expanded durations: the consumer resampled to
+    /// the producer's count when they differ, an empty producer read as one
+    /// zero-length chunk.
+    fn reference(p: &[u64], c: &[u64]) -> u64 {
+        let k = p.len().max(1);
+        let c = if c.len() == k { c.to_vec() } else { resample_durations(c, k) };
+        let p = if p.is_empty() { vec![0] } else { p.to_vec() };
+        pipeline_runtime(&p, &c)
+    }
+
+    fn durations(t: &ChunkTimeline) -> Vec<u64> {
+        t.runs().iter().flat_map(|&(d, n)| std::iter::repeat_n(d, n as usize)).collect()
+    }
 
     #[test]
     fn marks_composition_matches_the_duration_form() {
-        let durations = |marks: &[u64]| {
-            let mut prev = 0;
-            marks
-                .iter()
-                .map(|&m| {
-                    let d = m.saturating_sub(prev);
-                    prev = m;
-                    d
-                })
-                .collect::<Vec<u64>>()
-        };
-        let reference = |p_marks: &[u64], c_marks: &[u64]| {
-            let p = durations(p_marks);
-            let c = durations(c_marks);
-            let k = p.len().max(1);
-            let c = if c.len() == k { c } else { resample_durations(&c, k) };
-            let p = if p.is_empty() { vec![0] } else { p };
-            pipeline_runtime(&p, &c)
-        };
         let cases: [(&[u64], &[u64]); 7] = [
             (&[], &[]),
             (&[], &[5, 9]),
@@ -130,7 +144,63 @@ mod tests {
             (&[5, 3, 12], &[0, 0, 0, 0]),
         ];
         for (p, c) in cases {
-            assert_eq!(pipeline_runtime_of_marks(p, c), reference(p, c), "{p:?} / {c:?}");
+            let (p, c) = (ChunkTimeline::from_marks(p), ChunkTimeline::from_marks(c));
+            assert_eq!(
+                pipeline_runtime_of_timelines(&p, &c),
+                reference(&durations(&p), &durations(&c)),
+                "{p:?} / {c:?}"
+            );
+        }
+    }
+
+    fn timeline(runs: &[(u64, u64)]) -> ChunkTimeline {
+        let mut t = ChunkTimeline::new();
+        for &(d, n) in runs {
+            t.push(d, n);
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The run-wise composition equals [`pipeline_runtime`] over the
+        /// expanded durations: equal counts, a resampled consumer, an empty
+        /// producer, and a single producer chunk.
+        #[test]
+        fn run_composition_matches_the_expanded_durations(
+            p_runs in proptest::collection::vec((0u64..40, 1u64..9), 0..12),
+            c_runs in proptest::collection::vec((0u64..40, 1u64..9), 0..12),
+            case in 0u8..4,
+        ) {
+            let mut p = timeline(&p_runs);
+            let mut c = timeline(&c_runs);
+            match case {
+                // Equal counts: trim or pad the consumer to the producer's.
+                0 => {
+                    let k = p.len().max(1);
+                    let mut d = durations(&c);
+                    d.resize(k as usize, 7);
+                    c = timeline(&d.iter().map(|&x| (x, 1)).collect::<Vec<_>>());
+                }
+                // Resampled: counts that differ.
+                1 => {
+                    if c.len() == p.len().max(1) {
+                        c.push(3, 1);
+                    }
+                }
+                2 => p = ChunkTimeline::new(),
+                _ => p = timeline(&[(p_runs.first().map_or(5, |r| r.0), 1)]),
+            }
+            let want = reference(&durations(&p), &durations(&c));
+            prop_assert_eq!(pipeline_runtime_of_timelines(&p, &c), want);
+            // The marks round trip: a timeline rebuilt from its expanded
+            // marks composes to the same total.
+            let marks = |t: &ChunkTimeline| t.marks().collect::<Vec<u64>>();
+            let p2 = ChunkTimeline::from_marks(&marks(&p));
+            let c2 = ChunkTimeline::from_marks(&marks(&c));
+            prop_assert_eq!(&p2, &p);
+            prop_assert_eq!(pipeline_runtime_of_timelines(&p2, &c2), want);
         }
     }
 

@@ -101,7 +101,8 @@ pub struct WorkloadSpec {
     /// generates the graph itself (deterministic seed), so million-vertex
     /// requests do not ship a million-entry `degrees` vector over the wire.
     /// When present, `v`/`f`/`degrees`/`mean_degree` are ignored; `g` still
-    /// sets the hidden width. Names above `N = 20` are refused.
+    /// sets the hidden width. Names above `N = 20` are refused, and so are
+    /// `f` or `g` above 2^16 on either path.
     pub dataset: Option<String>,
 }
 
@@ -116,6 +117,12 @@ pub const SCALE_DATASET_SEED: u64 = 0x0E5A_2022;
 /// generated or allocated, so one request line cannot make the server build
 /// a multi-gigabyte graph or degree vector.
 const MAX_SERVE_SCALE: u32 = 20;
+
+/// Largest feature width `f` or hidden width `g` a request may give. The
+/// search sizes buffers by the widths, so a request naming `g = 2^32` on a
+/// four-vertex graph would otherwise abort the whole daemon on a failed
+/// multi-gigabyte allocation, which no `catch_unwind` can stop.
+const MAX_SERVE_WIDTH: usize = 1 << 16;
 
 impl WorkloadSpec {
     /// Builds the request shape from an existing workload (client side).
@@ -135,6 +142,13 @@ impl WorkloadSpec {
 
     /// Validates the spec into the workload the cost model consumes.
     pub fn to_workload(&self) -> Result<GnnWorkload, String> {
+        if self.f > MAX_SERVE_WIDTH || self.g > MAX_SERVE_WIDTH {
+            return Err(format!(
+                "workload widths f = {} g = {} are too large to serve (the limit is \
+                 f, g <= {MAX_SERVE_WIDTH})",
+                self.f, self.g
+            ));
+        }
         if let Some(ds) = self.dataset.as_deref() {
             if self.g == 0 {
                 return Err("workload g must be positive".into());
@@ -1359,6 +1373,37 @@ mod tests {
         for workload in [
             r#"{"v":4,"f":16,"g":16,"degrees":[4,1,4,2]}"#,
             r#"{"v":4,"f":16,"g":16,"mean_degree":4}"#,
+        ] {
+            let served = ask(workload);
+            assert!(served.ok, "{workload}: {:?}", served.error);
+            assert!(served.best.is_some());
+        }
+    }
+
+    #[test]
+    fn oversized_widths_are_refused_before_anything_is_built() {
+        let server = test_server();
+        let ask = |workload: &str| -> MapResponse {
+            let line = format!(r#"{{"workload":{workload}}}"#);
+            serde_json::from_str(&server.handle_line(&line)).unwrap()
+        };
+        // Each of these used to abort the daemon on a 64 GiB allocation.
+        for workload in [
+            r#"{"v":4,"f":16,"g":4294967296,"mean_degree":2}"#,
+            r#"{"v":4,"f":4294967296,"g":16,"mean_degree":2}"#,
+            r#"{"v":4,"f":16,"g":65537,"mean_degree":2}"#,
+            r#"{"dataset":"rmat-6","v":0,"f":0,"g":4294967296}"#,
+            r#"{"dataset":"rmat-6","v":0,"f":65537,"g":16}"#,
+        ] {
+            let refused = ask(workload);
+            assert!(!refused.ok, "{workload} was served");
+            let error = refused.error.unwrap_or_default();
+            assert!(error.contains("f, g <= 65536"), "{workload}: `{error}` names no limit");
+        }
+        // The daemon is still up, and the limit itself is served.
+        for workload in [
+            r#"{"v":4,"f":16,"g":65536,"mean_degree":2}"#,
+            r#"{"v":4,"f":65536,"g":16,"mean_degree":2}"#,
         ] {
             let served = ask(workload);
             assert!(served.ok, "{workload}: {:?}", served.error);
