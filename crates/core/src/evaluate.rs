@@ -83,34 +83,61 @@ pub fn evaluate(
 /// timeline, run-length encoded.
 pub(crate) type PhaseResult = (PhaseStats, ChunkTimeline);
 
-/// One phase simulation, fully specified modulo the workload held by the
-/// surrounding [`PreparedEval`]. Doubles as the [`PhaseSimCache`] key: two
-/// equal keys denote bit-identical simulations (the engines are deterministic),
-/// so every result-affecting knob — tiling, operand classes, bandwidth share,
-/// residency flags, chunk spec — participates in `Eq`/`Hash`.
+/// One phase simulation, fully specified modulo the workload degrees: the
+/// phase's shape, tiling, operand classes and engine options. Doubles as the
+/// [`PhaseSimCache`] key: two equal keys denote bit-identical simulations (the
+/// engines are deterministic), so every result-affecting knob — tiling,
+/// operand classes, bandwidth share, residency flags, chunk spec — participates
+/// in `Eq`/`Hash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum PhaseKey {
+pub(crate) struct PhaseKey {
+    pub(crate) kind: PhaseKind,
+    pub(crate) tiling: IntraTiling,
+    pub(crate) classes: OperandClasses,
+    pub(crate) opts: EngineOptions,
+}
+
+/// The shape of one phase simulation: which engine runs it, on what sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum PhaseKind {
     /// Aggregation: SpMM over the prepared degrees, `width` dense columns.
-    Spmm { width: usize, tiling: IntraTiling, classes: OperandClasses, opts: EngineOptions },
+    Spmm { width: usize },
     /// Combination: dense GEMM.
-    Gemm { dims: GemmDims, tiling: IntraTiling, classes: OperandClasses, opts: EngineOptions },
+    Gemm { dims: GemmDims },
     /// Attention scoring: SDDMM over the prepared degrees (`heads` per-edge
     /// dot products of `dot_width` elements, plus the softmax pass).
-    Sddmm {
-        dot_width: usize,
-        heads: usize,
-        tiling: IntraTiling,
-        classes: OperandClasses,
-        opts: EngineOptions,
-    },
+    Sddmm { dot_width: usize, heads: usize },
     /// Elementwise post-phase (activation / LayerNorm) over the layer output,
     /// run on the final matrix phase's tiling.
-    Elementwise {
-        wl: ElementwiseWorkload,
-        tiling: IntraTiling,
-        classes: OperandClasses,
-        opts: EngineOptions,
-    },
+    Elementwise(ElementwiseWorkload),
+}
+
+impl PhaseKey {
+    /// Runs this phase on its engine: the one dispatch from a phase spec to
+    /// the four engines, shared by [`PreparedEval`] and the chain stages of
+    /// [`crate::multiphase`]. `spmm` holds the degrees the sparse phases walk.
+    pub(crate) fn simulate(
+        &self,
+        spmm: Option<&PreparedSpmm<'_>>,
+        cfg: &AccelConfig,
+    ) -> PhaseResult {
+        let sparse = || spmm.expect("sparse phases walk prepared degrees");
+        let PhaseKey { kind, tiling, classes, opts } = self;
+        match *kind {
+            PhaseKind::Spmm { width } => {
+                simulate_spmm_prepared(sparse(), width, tiling, cfg, classes, opts)
+            }
+            PhaseKind::Gemm { dims } => {
+                simulate_gemm_prepared(&PreparedGemm::new(dims), tiling, cfg, classes, opts)
+            }
+            PhaseKind::Sddmm { dot_width, heads } => {
+                simulate_sddmm_prepared(sparse(), dot_width, heads, tiling, cfg, classes, opts)
+            }
+            PhaseKind::Elementwise(wl) => {
+                simulate_elementwise_prepared(&wl, tiling, cfg, classes, opts)
+            }
+        }
+    }
 }
 
 /// The planned evaluation of one dataflow: every phase simulation plus the
@@ -122,13 +149,13 @@ pub(crate) struct EvalPlan {
     /// The attention scoring phase, when the workload has one. It runs
     /// sequentially before the aggregation/combination pair on the full
     /// array, sharing the Aggregation tiling.
-    sddmm: Option<PhaseKey>,
-    agg: PhaseKey,
-    cmb: PhaseKey,
+    pub(crate) sddmm: Option<PhaseKey>,
+    pub(crate) agg: PhaseKey,
+    pub(crate) cmb: PhaseKey,
     /// The elementwise post-phase, when the workload requests one. It runs
     /// sequentially after both matrix phases on the full array, reusing the
     /// final phase's tiling.
-    post: Option<PhaseKey>,
+    pub(crate) post: Option<PhaseKey>,
 }
 
 impl EvalPlan {
@@ -137,16 +164,188 @@ impl EvalPlan {
     pub(crate) fn keys(&self) -> impl Iterator<Item = &PhaseKey> {
         self.sddmm.iter().chain([&self.agg, &self.cmb]).chain(self.post.iter())
     }
+
+    /// Plans the phase simulations of `dataflow` running `workload` on `cfg`
+    /// — the per-phase engine options exactly as the inter-phase cost model
+    /// prescribes them. This is the one lowering of a layer dataflow onto
+    /// phase-engine runs: [`PreparedEval`] simulates it, and
+    /// [`crate::models::to_chain`] turns it into chain stages.
+    pub(crate) fn new(
+        workload: &GnnWorkload,
+        cfg: &AccelConfig,
+        dataflow: &GnnDataflow,
+    ) -> Result<EvalPlan, EvalError> {
+        validate(dataflow)?;
+        let sp_optimized = dataflow.is_sp_optimized();
+        let full = budgeted_options(cfg, cfg.full_bandwidth());
+
+        // Attention (GAT) workloads prepend an SDDMM scoring phase: scores are
+        // computed on the input features (AC only) with the layer's
+        // Aggregation tiling, which must satisfy the SDDMM loop-order rule.
+        let sddmm = match workload.attention {
+            None => None,
+            Some(att) => {
+                if dataflow.phase_order != PhaseOrder::AC {
+                    return Err(EvalError::AttentionRequiresAc);
+                }
+                validate_sddmm(&dataflow.agg)?;
+                let mut opts = full;
+                opts.reference_walk = cfg.knobs.reference_walk;
+                if sp_optimized {
+                    // SP-Optimized attention: both phases share the tiling, so
+                    // the scores never leave the PE register files — the
+                    // softmax runs locally and the aggregation gathers the
+                    // resident values (its `scores_resident` flag below).
+                    opts.output_stays_local = true;
+                }
+                let dot_width = att.dot_width(workload.f);
+                Some(PhaseKey {
+                    kind: PhaseKind::Sddmm { dot_width, heads: att.heads },
+                    tiling: dataflow.agg,
+                    classes: OperandClasses::sddmm(),
+                    opts,
+                })
+            }
+        };
+        // A Sequential dataflow's loop orders may *happen* to be
+        // pipeline-compatible, but nothing is pipelined — report no
+        // granularity/Pel for it.
+        let granularity = match dataflow.inter {
+            InterPhase::Sequential => None,
+            _ => dataflow.granularity(),
+        };
+        let pel = granularity.and(intermediate_pel(workload, dataflow));
+
+        // The dense width Aggregation streams per neighbour: F under AC, G under CA.
+        let agg_width = match dataflow.phase_order {
+            PhaseOrder::AC => workload.f,
+            PhaseOrder::CA => workload.g,
+        };
+        let (agg_classes, cmb_classes) = match (workload.attention, dataflow.phase_order) {
+            // GAT aggregation gathers SDDMM scores as its per-edge values.
+            (Some(_), _) => (OperandClasses::aggregation_gat(), OperandClasses::combination_ac()),
+            (None, PhaseOrder::AC) => {
+                (OperandClasses::aggregation_ac(), OperandClasses::combination_ac())
+            }
+            (None, PhaseOrder::CA) => {
+                (OperandClasses::aggregation_ca(), OperandClasses::combination_ca())
+            }
+        };
+
+        let (mut agg_opts, cmb_opts) = match dataflow.inter {
+            InterPhase::Sequential => (full, full),
+            InterPhase::SequentialPipeline => {
+                let (mut producer_opts, mut consumer_opts) = (full, full);
+                if sp_optimized {
+                    producer_opts.output_stays_local = true;
+                    consumer_opts.input_resident = true;
+                }
+                match dataflow.phase_order {
+                    PhaseOrder::AC => (producer_opts, consumer_opts),
+                    PhaseOrder::CA => (consumer_opts, producer_opts),
+                }
+            }
+            InterPhase::ParallelPipeline => {
+                let pel_elems = pel.expect("validated PP dataflow has a granularity");
+                // NoC bandwidth is shared between the concurrently-running
+                // partitions in proportion to their PE allocation (Section V-C3).
+                let mut agg_opts =
+                    budgeted_options(cfg, cfg.bandwidth_fraction(dataflow.agg.pe_footprint()));
+                let mut cmb_opts =
+                    budgeted_options(cfg, cfg.bandwidth_fraction(dataflow.cmb.pe_footprint()));
+                let (agg_side, cmb_side) = match dataflow.phase_order {
+                    PhaseOrder::AC => (ChunkSide::Produce, ChunkSide::Consume),
+                    PhaseOrder::CA => (ChunkSide::Consume, ChunkSide::Produce),
+                };
+                agg_opts.chunk = Some(ChunkSpec {
+                    side: agg_side,
+                    pel: chunk_pel(agg_side, pel_elems, workload, agg_width),
+                });
+                cmb_opts.chunk = Some(ChunkSpec { side: cmb_side, pel: pel_elems });
+                (agg_opts, cmb_opts)
+            }
+        };
+
+        // The per-edge oracle only exists for the sparse walks; GEMM has no
+        // reference path, so its options stay untouched (and cache-stable).
+        agg_opts.reference_walk = cfg.knobs.reference_walk;
+        if sddmm.is_some() && sp_optimized {
+            // The SDDMM producer kept the scores local (see above): the
+            // aggregation reads them from the RFs, fetching only the CSR
+            // structure.
+            agg_opts.scores_resident = true;
+        }
+
+        // The elementwise post-phase streams the finished `V×G` output through
+        // the array once more (twice for LayerNorm), after both matrix phases:
+        // it reuses the *final* phase's tiling — the output is already laid out
+        // for it — at full bandwidth (nothing else runs concurrently).
+        let post = match workload.post_op {
+            None => None,
+            Some(op) => {
+                let tiling = match dataflow.phase_order {
+                    PhaseOrder::AC => dataflow.cmb,
+                    PhaseOrder::CA => dataflow.agg,
+                };
+                validate_elementwise(&tiling)?;
+                Some(PhaseKey {
+                    kind: PhaseKind::Elementwise(ElementwiseWorkload {
+                        rows: workload.v,
+                        width: workload.g,
+                        op,
+                    }),
+                    tiling,
+                    classes: OperandClasses::elementwise_on(OperandClass::Output),
+                    opts: full,
+                })
+            }
+        };
+
+        Ok(EvalPlan {
+            sp_optimized,
+            granularity,
+            pel,
+            sddmm,
+            agg: PhaseKey {
+                kind: PhaseKind::Spmm { width: agg_width },
+                tiling: dataflow.agg,
+                classes: agg_classes,
+                opts: agg_opts,
+            },
+            cmb: PhaseKey {
+                kind: PhaseKind::Gemm {
+                    dims: GemmDims { v: workload.v, f: workload.f, g: workload.g },
+                },
+                tiling: dataflow.cmb,
+                classes: cmb_classes,
+                opts: cmb_opts,
+            },
+            post,
+        })
+    }
+}
+
+/// Plain engine options at `bandwidth`, held to `cfg`'s storage budgets.
+/// Capacity enforcement is opt-in (`ModelKnobs::enforce_capacity`): the
+/// engines always *report* their working-set peaks, but only a finite budget
+/// makes overflowing tiles pay the spill recipe. `UNBOUNDED` keeps every run
+/// bit-identical to the unconstrained paper model.
+pub(crate) fn budgeted_options(cfg: &AccelConfig, bandwidth: BandwidthShare) -> EngineOptions {
+    let mut opts = EngineOptions::plain(bandwidth);
+    if cfg.knobs.enforce_capacity {
+        opts.capacity =
+            CapacityBudget { rf_bytes_per_pe: cfg.rf_bytes_per_pe, gb_bytes: cfg.gb_bytes };
+    }
+    opts
 }
 
 /// A workload's evaluation context, prepared once and shared across many
-/// dataflow evaluations: the hoisted SpMM degree structures, the GEMM
-/// dimensions, and the energy model.
+/// dataflow evaluations: the hoisted SpMM degree structures and the energy
+/// model.
 pub struct PreparedEval<'a> {
     workload: &'a GnnWorkload,
     cfg: &'a AccelConfig,
     spmm: PreparedSpmm<'a>,
-    gemm: PreparedGemm,
     energy_model: EnergyModel,
 }
 
@@ -157,7 +356,6 @@ impl<'a> PreparedEval<'a> {
             workload,
             cfg,
             spmm: PreparedSpmm::new(&workload.degrees),
-            gemm: PreparedGemm::new(GemmDims { v: workload.v, f: workload.f, g: workload.g }),
             energy_model: EnergyModel {
                 gb_bank_bytes: cfg.gb_bank_bytes,
                 ..EnergyModel::paper_default()
@@ -203,194 +401,14 @@ impl<'a> PreparedEval<'a> {
         }
     }
 
-    /// Plans the two phase simulations of `dataflow` — the per-phase engine
-    /// options exactly as the inter-phase cost model prescribes them.
+    /// Plans `dataflow` on the prepared workload ([`EvalPlan::new`]).
     pub(crate) fn plan(&self, dataflow: &GnnDataflow) -> Result<EvalPlan, EvalError> {
-        validate(dataflow)?;
-        let workload = self.workload;
-        let cfg = self.cfg;
-        let sp_optimized = dataflow.is_sp_optimized();
-        // Capacity enforcement is opt-in (`ModelKnobs::enforce_capacity`): the
-        // engines always *report* their working-set peaks, but only a finite
-        // budget makes overflowing tiles pay the spill recipe. `UNBOUNDED`
-        // keeps every plan bit-identical to the unconstrained paper model.
-        let capacity = if cfg.knobs.enforce_capacity {
-            CapacityBudget { rf_bytes_per_pe: cfg.rf_bytes_per_pe, gb_bytes: cfg.gb_bytes }
-        } else {
-            CapacityBudget::UNBOUNDED
-        };
-
-        // Attention (GAT) workloads prepend an SDDMM scoring phase: scores are
-        // computed on the input features (AC only) with the layer's
-        // Aggregation tiling, which must satisfy the SDDMM loop-order rule.
-        let sddmm = match workload.attention {
-            None => None,
-            Some(att) => {
-                if dataflow.phase_order != PhaseOrder::AC {
-                    return Err(EvalError::AttentionRequiresAc);
-                }
-                validate_sddmm(&dataflow.agg)?;
-                let mut opts = EngineOptions::plain(cfg.full_bandwidth());
-                opts.capacity = capacity;
-                opts.reference_walk = cfg.knobs.reference_walk;
-                if sp_optimized {
-                    // SP-Optimized attention: both phases share the tiling, so
-                    // the scores never leave the PE register files — the
-                    // softmax runs locally and the aggregation gathers the
-                    // resident values (its `scores_resident` flag below).
-                    opts.output_stays_local = true;
-                }
-                Some(PhaseKey::Sddmm {
-                    dot_width: att.dot_width(workload.f),
-                    heads: att.heads,
-                    tiling: dataflow.agg,
-                    classes: OperandClasses::sddmm(),
-                    opts,
-                })
-            }
-        };
-        // A Sequential dataflow's loop orders may *happen* to be
-        // pipeline-compatible, but nothing is pipelined — report no
-        // granularity/Pel for it.
-        let granularity = match dataflow.inter {
-            InterPhase::Sequential => None,
-            _ => dataflow.granularity(),
-        };
-        let pel = granularity.and(intermediate_pel(workload, dataflow));
-
-        // The dense width Aggregation streams per neighbour: F under AC, G under CA.
-        let agg_width = match dataflow.phase_order {
-            PhaseOrder::AC => workload.f,
-            PhaseOrder::CA => workload.g,
-        };
-        let (agg_classes, cmb_classes) = match (workload.attention, dataflow.phase_order) {
-            // GAT aggregation gathers SDDMM scores as its per-edge values.
-            (Some(_), _) => (OperandClasses::aggregation_gat(), OperandClasses::combination_ac()),
-            (None, PhaseOrder::AC) => {
-                (OperandClasses::aggregation_ac(), OperandClasses::combination_ac())
-            }
-            (None, PhaseOrder::CA) => {
-                (OperandClasses::aggregation_ca(), OperandClasses::combination_ca())
-            }
-        };
-
-        let (agg_opts, cmb_opts) = match dataflow.inter {
-            InterPhase::Sequential => {
-                let bw = cfg.full_bandwidth();
-                (EngineOptions::plain(bw), EngineOptions::plain(bw))
-            }
-            InterPhase::SequentialPipeline => {
-                let bw = cfg.full_bandwidth();
-                let mut producer_opts = EngineOptions::plain(bw);
-                let mut consumer_opts = EngineOptions::plain(bw);
-                if sp_optimized {
-                    producer_opts.output_stays_local = true;
-                    consumer_opts.input_resident = true;
-                }
-                match dataflow.phase_order {
-                    PhaseOrder::AC => (producer_opts, consumer_opts),
-                    PhaseOrder::CA => (consumer_opts, producer_opts),
-                }
-            }
-            InterPhase::ParallelPipeline => {
-                let pel_elems = pel.expect("validated PP dataflow has a granularity");
-                // NoC bandwidth is shared between the concurrently-running
-                // partitions in proportion to their PE allocation (Section V-C3).
-                let agg_bw = cfg.bandwidth_fraction(dataflow.agg.pe_footprint());
-                let cmb_bw = cfg.bandwidth_fraction(dataflow.cmb.pe_footprint());
-                let mut agg_opts = EngineOptions::plain(agg_bw);
-                let mut cmb_opts = EngineOptions::plain(cmb_bw);
-                let (agg_side, cmb_side) = match dataflow.phase_order {
-                    PhaseOrder::AC => (ChunkSide::Produce, ChunkSide::Consume),
-                    PhaseOrder::CA => (ChunkSide::Consume, ChunkSide::Produce),
-                };
-                agg_opts.chunk = Some(ChunkSpec {
-                    side: agg_side,
-                    pel: chunk_pel(agg_side, pel_elems, workload, agg_width),
-                });
-                cmb_opts.chunk = Some(ChunkSpec { side: cmb_side, pel: pel_elems });
-                (agg_opts, cmb_opts)
-            }
-        };
-
-        let (mut agg_opts, mut cmb_opts) = (agg_opts, cmb_opts);
-        agg_opts.capacity = capacity;
-        cmb_opts.capacity = capacity;
-        // The per-edge oracle only exists for the sparse walks; GEMM has no
-        // reference path, so its options stay untouched (and cache-stable).
-        agg_opts.reference_walk = cfg.knobs.reference_walk;
-        if sddmm.is_some() && sp_optimized {
-            // The SDDMM producer kept the scores local (see above): the
-            // aggregation reads them from the RFs, fetching only the CSR
-            // structure.
-            agg_opts.scores_resident = true;
-        }
-
-        // The elementwise post-phase streams the finished `V×G` output through
-        // the array once more (twice for LayerNorm), after both matrix phases:
-        // it reuses the *final* phase's tiling — the output is already laid out
-        // for it — at full bandwidth (nothing else runs concurrently).
-        let post = match workload.post_op {
-            None => None,
-            Some(op) => {
-                let tiling = match dataflow.phase_order {
-                    PhaseOrder::AC => dataflow.cmb,
-                    PhaseOrder::CA => dataflow.agg,
-                };
-                validate_elementwise(&tiling)?;
-                let mut opts = EngineOptions::plain(cfg.full_bandwidth());
-                opts.capacity = capacity;
-                Some(PhaseKey::Elementwise {
-                    wl: ElementwiseWorkload { rows: workload.v, width: workload.g, op },
-                    tiling,
-                    classes: OperandClasses::elementwise_on(OperandClass::Output),
-                    opts,
-                })
-            }
-        };
-
-        Ok(EvalPlan {
-            sp_optimized,
-            granularity,
-            pel,
-            sddmm,
-            agg: PhaseKey::Spmm {
-                width: agg_width,
-                tiling: dataflow.agg,
-                classes: agg_classes,
-                opts: agg_opts,
-            },
-            cmb: PhaseKey::Gemm {
-                dims: self.gemm.dims(),
-                tiling: dataflow.cmb,
-                classes: cmb_classes,
-                opts: cmb_opts,
-            },
-            post,
-        })
+        EvalPlan::new(self.workload, self.cfg, dataflow)
     }
 
     /// Runs one planned phase simulation.
     pub(crate) fn simulate(&self, key: &PhaseKey) -> PhaseResult {
-        match key {
-            PhaseKey::Spmm { width, tiling, classes, opts } => {
-                simulate_spmm_prepared(&self.spmm, *width, tiling, self.cfg, classes, opts)
-            }
-            PhaseKey::Gemm { tiling, classes, opts, .. } => {
-                // The key's `dims` equal `self.gemm.dims()` by construction
-                // (`plan` copies them from the preparation); the prepared
-                // variant is what the simulation consumes.
-                simulate_gemm_prepared(&self.gemm, tiling, self.cfg, classes, opts)
-            }
-            PhaseKey::Sddmm { dot_width, heads, tiling, classes, opts } => {
-                simulate_sddmm_prepared(
-                    &self.spmm, *dot_width, *heads, tiling, self.cfg, classes, opts,
-                )
-            }
-            PhaseKey::Elementwise { wl, tiling, classes, opts } => {
-                simulate_elementwise_prepared(wl, tiling, self.cfg, classes, opts)
-            }
-        }
+        key.simulate(Some(&self.spmm), self.cfg)
     }
 
     /// Composes a planned dataflow from its phase results, given in
@@ -552,15 +570,15 @@ impl<'a> PreparedEval<'a> {
     /// its waves by the results it will have to hold.
     pub(crate) fn timeline_len(&self, key: &PhaseKey) -> u64 {
         let v = self.workload.v as u64;
-        let (produced, consumed, chunk) = match key {
-            PhaseKey::Spmm { width, opts, .. } => {
-                let w = *width as u64;
-                (v * w, self.workload.nnz * w, opts.chunk)
+        let (produced, consumed) = match key.kind {
+            PhaseKind::Spmm { width } => {
+                let w = width as u64;
+                (v * w, self.workload.nnz * w)
             }
-            PhaseKey::Gemm { dims, opts, .. } => (v * dims.g as u64, v * dims.f as u64, opts.chunk),
-            PhaseKey::Sddmm { .. } | PhaseKey::Elementwise { .. } => return 0,
+            PhaseKind::Gemm { dims } => (v * dims.g as u64, v * dims.f as u64),
+            PhaseKind::Sddmm { .. } | PhaseKind::Elementwise(_) => return 0,
         };
-        chunk.map_or(0, |c| {
+        key.opts.chunk.map_or(0, |c| {
             let total = match c.side {
                 ChunkSide::Produce => produced,
                 ChunkSide::Consume => consumed,
@@ -584,80 +602,57 @@ impl<'a> PreparedEval<'a> {
     /// summing the raw read streams. `None` when the engine would early-return
     /// a zero report.
     fn phase_floor(&self, key: &PhaseKey) -> Option<PhaseFloor> {
-        match key {
-            PhaseKey::Spmm { width, tiling, classes, opts } => {
-                let v = self.workload.v as u64;
-                let w = *width as u64;
-                if v == 0 || w == 0 || self.workload.nnz == 0 {
+        let (v, nnz) = (self.workload.v as u64, self.workload.nnz);
+        // (MACs, streamed `a` reads, `b` reads, output writes), before the
+        // residency flags remove the pinned streams.
+        let (macs, a_reads, b_reads, writes) = match key.kind {
+            PhaseKind::Spmm { width } => {
+                let w = width as u64;
+                if v == 0 || w == 0 || nnz == 0 {
                     return None;
                 }
-                let macs = self.workload.nnz * w;
-                Some(PhaseFloor {
-                    macs,
-                    footprint: tiling.pe_footprint() as u64,
-                    // One gathered dense element per MAC (the engine charges
-                    // `edge_visits × width` per pass, which covers each
-                    // (edge, column) at least once).
-                    a_reads: if opts.input_resident { 0 } else { macs },
-                    b_reads: 0,
-                    writes: if opts.output_stays_local { 0 } else { v * w },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                // One gathered dense element per MAC (the engine charges
+                // `edge_visits × width` per pass, which covers each
+                // (edge, column) at least once).
+                (nnz * w, nnz * w, 0, v * w)
             }
-            PhaseKey::Gemm { dims, tiling, classes, opts } => {
+            PhaseKind::Gemm { dims } => {
                 let (v, f, g) = (dims.v as u64, dims.f as u64, dims.g as u64);
                 if v == 0 || f == 0 || g == 0 {
                     return None;
                 }
-                Some(PhaseFloor {
-                    macs: v * f * g,
-                    footprint: tiling.pe_footprint() as u64,
-                    a_reads: if opts.input_resident { 0 } else { v * f },
-                    // Every weight is fetched at least once.
-                    b_reads: f * g,
-                    writes: if opts.output_stays_local { 0 } else { v * g },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                // Every weight is fetched at least once.
+                (v * f * g, v * f, f * g, v * g)
             }
-            PhaseKey::Sddmm { dot_width, heads, tiling, classes, opts } => {
-                let (d, h) = (*dot_width as u64, (*heads).max(1) as u64);
-                if self.workload.v == 0 || d == 0 || self.workload.nnz == 0 {
+            PhaseKind::Sddmm { dot_width, heads } => {
+                let (d, h) = (dot_width as u64, heads.max(1) as u64);
+                if v == 0 || d == 0 || nnz == 0 {
                     return None;
                 }
                 // Compulsory: one gathered K element per MAC; one score write
                 // per (edge, head).
-                let macs = h * self.workload.nnz * d;
-                Some(PhaseFloor {
-                    macs,
-                    footprint: tiling.pe_footprint() as u64,
-                    a_reads: if opts.input_resident { 0 } else { macs },
-                    b_reads: 0,
-                    writes: if opts.output_stays_local { 0 } else { h * self.workload.nnz },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                (h * nnz * d, h * nnz * d, 0, h * nnz)
             }
-            PhaseKey::Elementwise { wl, tiling, classes, opts } => {
+            PhaseKind::Elementwise(wl) => {
                 let elems = wl.elems();
                 if elems == 0 {
                     return None;
                 }
                 // Compulsory: one ALU op and one streamed read per element per
                 // sweep, one write-back per element.
-                let macs = elems * wl.op.sweeps();
-                Some(PhaseFloor {
-                    macs,
-                    footprint: tiling.pe_footprint() as u64,
-                    a_reads: if opts.input_resident { 0 } else { macs },
-                    b_reads: 0,
-                    writes: if opts.output_stays_local { 0 } else { elems },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                let sweeps = elems * wl.op.sweeps();
+                (sweeps, sweeps, 0, elems)
             }
-        }
+        };
+        Some(PhaseFloor {
+            macs,
+            footprint: key.tiling.pe_footprint() as u64,
+            a_reads: if key.opts.input_resident { 0 } else { a_reads },
+            b_reads,
+            writes: if key.opts.output_stays_local { 0 } else { writes },
+            classes: key.classes,
+            bandwidth: key.opts.bandwidth,
+        })
     }
 
     /// The per-objective admissible bound vector of a planned dataflow:
@@ -1214,9 +1209,7 @@ mod tests {
             for key in plan.keys() {
                 let marks = prep.simulate(key).1.len();
                 assert_eq!(prep.timeline_len(key), marks, "{df} {key:?}");
-                if let PhaseKey::Spmm { opts, .. } | PhaseKey::Gemm { opts, .. } = key {
-                    sides.extend(opts.chunk.map(|c| format!("{:?}", c.side)));
-                }
+                sides.extend(key.opts.chunk.map(|c| format!("{:?}", c.side)));
             }
         }
         assert_eq!(sides.len(), 2, "both chunk sides covered: {sides:?}");

@@ -22,15 +22,16 @@
 use serde::Serialize;
 
 use omega_accel::engine::{
-    simulate_elementwise_prepared, simulate_gemm_prepared, simulate_sddmm_prepared,
-    simulate_spmm_prepared, ChunkSide, ChunkSpec, ElementwiseOp, ElementwiseWorkload,
-    EngineOptions, GemmDims, OperandClasses, PreparedGemm, PreparedSpmm,
+    ChunkSide, ChunkSpec, ElementwiseOp, ElementwiseWorkload, EngineOptions, GemmDims,
+    OperandClasses, PreparedSpmm,
 };
-use omega_accel::{AccelConfig, AccessCounters, EnergyModel, OperandClass, PhaseStats};
+use omega_accel::{
+    AccelConfig, AccessCounters, BandwidthShare, EnergyModel, OperandClass, PhaseStats,
+};
 use omega_dataflow::IntraTiling;
 
 use crate::cost::EnergyBreakdown;
-use crate::evaluate::PhaseResult;
+use crate::evaluate::{PhaseKey, PhaseKind, PhaseResult};
 use crate::pipeline::pipeline_runtime_of_timelines;
 
 /// One kernel stage of a multiphase chain.
@@ -81,52 +82,42 @@ pub enum StageKind {
     },
 }
 
-/// A named stage.
+/// A named stage: the kernel plus how it runs — the operand classes that
+/// decide its Fig. 13 buckets and the engine options (residency, capacity
+/// budget, reference walk). [`evaluate_chain`] overwrites the options'
+/// bandwidth share and chunk spec from the stage's links.
 #[derive(Debug, Clone)]
 pub struct Stage {
     /// Stage label (for reports).
     pub name: String,
     /// The kernel.
     pub kind: StageKind,
-    /// The streaming input is already resident in the PE register files
-    /// (SP-Optimized consumer): no GB reads or distribution stalls for it.
-    pub input_resident: bool,
-    /// The produced matrix stays in the PE register files (SP-Optimized
-    /// producer): no GB writes or collection stalls for it.
-    pub output_stays_local: bool,
-    /// This SpMM stage gathers SDDMM-produced attention scores as its
-    /// per-edge values (their traffic lands in the `Score` bucket). Meaningful
-    /// on SpMM stages only.
-    pub gathers_scores: bool,
-    /// The gathered per-edge values (attention scores) are RF-resident — the
-    /// preceding SDDMM stage kept them local — so only the CSR structure is
-    /// fetched. Meaningful on SpMM stages only; implies [`Self::gathers_scores`].
-    pub scores_resident: bool,
+    /// Operand-class assignment of the stage's traffic.
+    pub classes: OperandClasses,
+    /// Engine options the stage runs with.
+    pub opts: EngineOptions,
 }
 
 impl Stage {
-    /// Builds a GEMM stage.
-    pub fn gemm(name: impl Into<String>, dims: GemmDims, tiling: IntraTiling) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Gemm { dims, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+    /// A stage whose traffic lands in `classes`, with plain options: no
+    /// residency, no capacity budget. The bandwidth share is a placeholder
+    /// that [`evaluate_chain`] replaces.
+    fn plain(name: impl Into<String>, kind: StageKind, classes: OperandClasses) -> Self {
+        let opts = EngineOptions::plain(BandwidthShare { dist: 0, red: 0 });
+        Stage { name: name.into(), kind, classes, opts }
     }
 
-    /// Builds an SpMM stage.
+    /// Builds a GEMM stage (AC Combination classes: reads an intermediate,
+    /// writes an output).
+    pub fn gemm(name: impl Into<String>, dims: GemmDims, tiling: IntraTiling) -> Self {
+        Self::plain(name, StageKind::Gemm { dims, tiling }, OperandClasses::combination_ac())
+    }
+
+    /// Builds an SpMM stage (AC Aggregation classes: reads input features,
+    /// writes an intermediate).
     pub fn spmm(name: impl Into<String>, degrees: Vec<usize>, width: usize, tiling: IntraTiling) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Spmm { degrees, width, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let kind = StageKind::Spmm { degrees, width, tiling };
+        Self::plain(name, kind, OperandClasses::aggregation_ac())
     }
 
     /// Builds an SDDMM attention-scoring stage.
@@ -137,17 +128,11 @@ impl Stage {
         heads: usize,
         tiling: IntraTiling,
     ) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Sddmm { degrees, dot_width, heads, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let kind = StageKind::Sddmm { degrees, dot_width, heads, tiling };
+        Self::plain(name, kind, OperandClasses::sddmm())
     }
 
-    /// Builds an elementwise/normalization stage.
+    /// Builds an elementwise/normalization stage on the output matrix.
     pub fn elementwise(
         name: impl Into<String>,
         rows: usize,
@@ -155,75 +140,58 @@ impl Stage {
         op: ElementwiseOp,
         tiling: IntraTiling,
     ) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Elementwise { rows, width, op, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let kind = StageKind::Elementwise { rows, width, op, tiling };
+        Self::plain(name, kind, OperandClasses::elementwise_on(OperandClass::Output))
     }
 
-    /// Same stage with SP-Optimized residency flags (intermediate pinned in the
-    /// RFs on the flagged side).
-    pub fn with_residency(mut self, input_resident: bool, output_stays_local: bool) -> Self {
-        self.input_resident = input_resident;
-        self.output_stays_local = output_stays_local;
-        self
+    /// A phase [`crate::evaluate`] planned for `layer` as a chain stage named
+    /// after its role (`{layer}.att`, `.agg`, `.cmb` or `.post`), `degrees`
+    /// being the layer graph's row degrees.
+    pub(crate) fn planned(layer: &str, key: &PhaseKey, degrees: &[usize]) -> Self {
+        let tiling = key.tiling;
+        let (role, kind) = match key.kind {
+            PhaseKind::Sddmm { dot_width, heads } => {
+                ("att", StageKind::Sddmm { degrees: degrees.to_vec(), dot_width, heads, tiling })
+            }
+            PhaseKind::Spmm { width } => {
+                ("agg", StageKind::Spmm { degrees: degrees.to_vec(), width, tiling })
+            }
+            PhaseKind::Gemm { dims } => ("cmb", StageKind::Gemm { dims, tiling }),
+            PhaseKind::Elementwise(ElementwiseWorkload { rows, width, op }) => {
+                ("post", StageKind::Elementwise { rows, width, op, tiling })
+            }
+        };
+        Stage { name: format!("{layer}.{role}"), kind, classes: key.classes, opts: key.opts }
     }
 
-    /// Same stage marked as gathering attention scores as its per-edge values
-    /// (`resident` additionally keeps them in the RFs — pairs with an SDDMM
-    /// producer whose [`Self::with_residency`] kept its output local).
-    pub fn with_scores(mut self, resident: bool) -> Self {
-        self.gathers_scores = true;
-        self.scores_resident = resident;
-        self
-    }
-
-    fn run(&self, cfg: &AccelConfig, opts: &EngineOptions) -> PhaseResult {
-        let mut opts = *opts;
-        opts.input_resident |= self.input_resident;
-        opts.output_stays_local |= self.output_stays_local;
-        opts.scores_resident |= self.scores_resident;
-        match &self.kind {
-            StageKind::Gemm { dims, tiling } => {
-                let classes = OperandClasses::combination_ac();
-                simulate_gemm_prepared(&PreparedGemm::new(*dims), tiling, cfg, &classes, &opts)
+    /// Runs the stage at `bandwidth` with the chunk spec `chunk`.
+    pub(crate) fn run(
+        &self,
+        cfg: &AccelConfig,
+        bandwidth: BandwidthShare,
+        chunk: Option<ChunkSpec>,
+    ) -> PhaseResult {
+        let (kind, degrees) = match &self.kind {
+            StageKind::Gemm { dims, .. } => (PhaseKind::Gemm { dims: *dims }, None),
+            StageKind::Spmm { degrees, width, .. } => {
+                (PhaseKind::Spmm { width: *width }, Some(degrees))
             }
-            StageKind::Spmm { degrees, width, tiling } => {
-                let classes = if self.gathers_scores || self.scores_resident {
-                    OperandClasses::aggregation_gat()
-                } else {
-                    OperandClasses::aggregation_ac()
-                };
-                let prep = PreparedSpmm::new(degrees);
-                simulate_spmm_prepared(&prep, *width, tiling, cfg, &classes, &opts)
+            StageKind::Sddmm { degrees, dot_width, heads, .. } => {
+                (PhaseKind::Sddmm { dot_width: *dot_width, heads: *heads }, Some(degrees))
             }
-            StageKind::Sddmm { degrees, dot_width, heads, tiling } => {
-                let prep = PreparedSpmm::new(degrees);
-                let classes = OperandClasses::sddmm();
-                simulate_sddmm_prepared(&prep, *dot_width, *heads, tiling, cfg, &classes, &opts)
-            }
-            StageKind::Elementwise { rows, width, op, tiling } => {
+            StageKind::Elementwise { rows, width, op, .. } => {
                 let wl = ElementwiseWorkload { rows: *rows, width: *width, op: *op };
-                let classes = OperandClasses::elementwise_on(OperandClass::Output);
-                simulate_elementwise_prepared(&wl, tiling, cfg, &classes, &opts)
+                (PhaseKind::Elementwise(wl), None)
             }
-        }
-    }
-
-    /// Output elements of this stage (drives pipelined chunking).
-    pub fn output_elems(&self) -> u64 {
-        match &self.kind {
-            StageKind::Gemm { dims, .. } => dims.v as u64 * dims.g as u64,
-            StageKind::Spmm { degrees, width, .. } => degrees.len() as u64 * *width as u64,
-            StageKind::Sddmm { degrees, heads, .. } => {
-                (*heads).max(1) as u64 * degrees.iter().map(|&d| d as u64).sum::<u64>()
-            }
-            StageKind::Elementwise { rows, width, .. } => *rows as u64 * *width as u64,
-        }
+        };
+        let key = PhaseKey {
+            kind,
+            tiling: *self.tiling(),
+            classes: self.classes,
+            opts: EngineOptions { bandwidth, chunk, ..self.opts },
+        };
+        let prepared = degrees.map(|d| PreparedSpmm::new(d));
+        key.simulate(prepared.as_ref(), cfg)
     }
 
     /// The stage's concrete tiling.
@@ -464,7 +432,7 @@ pub(crate) fn evaluate_chain_with(
                 if produce.is_some() && consume.is_some() {
                     return Err(ChainError::PipelinedBothSides { node: i });
                 }
-                let mut opts = EngineOptions::plain(full_bw);
+                let (mut bandwidth, mut chunk) = (full_bw, None);
                 if let Some((pel, split)) = produce {
                     if let Some(s) = split {
                         let allocated = s.producer_pes + s.consumer_pes;
@@ -481,9 +449,9 @@ pub(crate) fn evaluate_chain_with(
                                 footprint: stage.pe_footprint(),
                             });
                         }
-                        opts.bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).0;
+                        bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).0;
                     }
-                    opts.chunk = Some(ChunkSpec { side: ChunkSide::Produce, pel });
+                    chunk = Some(ChunkSpec { side: ChunkSide::Produce, pel });
                 } else if let Some((pel, split)) = consume {
                     if let Some(s) = split {
                         if stage.pe_footprint() > s.consumer_pes {
@@ -493,12 +461,12 @@ pub(crate) fn evaluate_chain_with(
                                 footprint: stage.pe_footprint(),
                             });
                         }
-                        opts.bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).1;
+                        bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).1;
                     }
-                    opts.chunk =
+                    chunk =
                         Some(ChunkSpec { side: ChunkSide::Consume, pel: stage.consume_pel(pel) });
                 }
-                node_stats.push(vec![(stage.name.clone(), stage.run(cfg, &opts))]);
+                node_stats.push(vec![(stage.name.clone(), stage.run(cfg, bandwidth, chunk))]);
             }
             ChainNode::Parallel(group) => {
                 if produce.is_some() || consume.is_some() {
@@ -521,9 +489,8 @@ pub(crate) fn evaluate_chain_with(
                     group
                         .iter()
                         .map(|s| {
-                            let opts =
-                                EngineOptions::plain(cfg.bandwidth_fraction(s.pe_footprint()));
-                            (s.name.clone(), s.run(cfg, &opts))
+                            let bandwidth = cfg.bandwidth_fraction(s.pe_footprint());
+                            (s.name.clone(), s.run(cfg, bandwidth, None))
                         })
                         .collect(),
                 );
@@ -870,19 +837,18 @@ mod tests {
 
     #[test]
     fn residency_flags_remove_intermediate_traffic() {
-        use omega_accel::OperandClass;
         let producer = Stage::spmm("agg", vec![4; 64], 16, agg_tiling([8, 8, 1]));
         let consumer = gemm_stage("cmb", 64, 16, 8);
+        let (mut local, mut resident) = (producer.clone(), consumer.clone());
+        local.opts.output_stays_local = true;
+        resident.opts.input_resident = true;
         let cfg = AccelConfig::paper_default();
         let plain = Chain {
             nodes: vec![ChainNode::Single(producer.clone()), ChainNode::Single(consumer.clone())],
             links: vec![Link::Sequential],
         };
         let resident = Chain {
-            nodes: vec![
-                ChainNode::Single(producer.with_residency(false, true)),
-                ChainNode::Single(consumer.with_residency(true, false)),
-            ],
+            nodes: vec![ChainNode::Single(local), ChainNode::Single(resident)],
             links: vec![Link::Sequential],
         };
         let r_plain = evaluate_chain(&plain, &cfg).unwrap();
