@@ -28,14 +28,15 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use omega_accel::engine::PreparedSpmm;
 use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::GnnDataflow;
 
 use super::{par_map, CancelToken, DseCache, DseOptions, Entry, ParetoFront, TopK, WAVE};
 use crate::mapper::Objective;
-use crate::models::{to_chain, uniform_layer_dataflows, GnnModel, ModelError};
-use crate::multiphase::{evaluate_chain_with, ChainReport, Link, PartitionSplit};
+use crate::models::{lower_layers, to_chain, uniform_dataflows, GnnModel, ModelError};
+use crate::multiphase::{evaluate_chain, evaluate_chain_with, ChainReport, Link, PartitionSplit};
 use crate::GnnWorkload;
 
 /// Tuning knobs of a model-level exploration.
@@ -250,13 +251,15 @@ pub struct ModelExploreOutcome {
     /// (summed over the distinct layer shapes; repeated shapes served from the
     /// [`DseCache`] re-report their original search's counters).
     pub phase_sims: usize,
-    /// Per-layer phase-simulation lookups answered from the
-    /// [`crate::PhaseSimCache`] instead of re-running an engine.
+    /// Per-layer phase-simulation lookups the layer sweeps answered from
+    /// their memoised phase results instead of re-running an engine (summed
+    /// like [`Self::phase_sims`]).
     pub phase_cache_hits: usize,
     /// The best uniform Table V preset applied to every layer.
     pub uniform: Option<UniformBaseline>,
-    /// Wall-clock of the joint search in milliseconds (excludes the cached
-    /// layer-level searches).
+    /// Wall-clock of the whole exploration in milliseconds: the layer-level
+    /// searches the [`DseCache`] missed, the joint sweep and the uniform
+    /// seeds (cache hits cost only their lookup).
     pub elapsed_ms: f64,
     /// Worker threads used.
     pub threads: usize,
@@ -376,26 +379,27 @@ pub fn build_space(
     opts: &ModelDseOptions,
     cache: &DseCache,
 ) -> ModelSpace {
-    build_space_with_stats(model, base, cfg, opts, cache).0
+    build_space_with_stats(model, base, &model.layer_workloads(base), cfg, opts, cache).0
 }
 
-/// [`build_space`] plus the summed `(phase_sims, phase_cache_hits)` of the
-/// distinct per-layer searches it triggered.
+/// [`build_space`] over the layer workloads `wls`, plus the summed
+/// `(phase_sims, phase_cache_hits)` of the distinct per-layer searches it
+/// triggered.
 fn build_space_with_stats(
     model: &GnnModel,
     base: &GnnWorkload,
+    wls: &[GnnWorkload],
     cfg: &AccelConfig,
     opts: &ModelDseOptions,
     cache: &DseCache,
 ) -> (ModelSpace, usize, usize) {
-    let wls = model.layer_workloads(base);
     // Layers with the same (F, G) shape share one candidate search (the graph
     // is identical across layers, so shape determines the result).
     let mut by_shape: Vec<((usize, usize), Vec<GnnDataflow>)> = Vec::new();
     let mut layer_candidates = Vec::with_capacity(wls.len());
     let mut phase_sims = 0;
     let mut phase_cache_hits = 0;
-    for wl in &wls {
+    for wl in wls {
         let key = (wl.f, wl.g);
         let cands = match by_shape.iter().find(|(k, _)| *k == key) {
             Some((_, c)) => c.clone(),
@@ -433,21 +437,8 @@ pub fn evaluate_mapping(
     cfg: &AccelConfig,
     objective: Objective,
 ) -> Result<(f64, ChainReport), ModelError> {
-    evaluate_mapping_with(model, base, mapping, cfg, objective, true)
-}
-
-/// [`evaluate_mapping`], with the stages' `chunk_marks` expanded only with
-/// `timelines` ([`evaluate_chain_with`]).
-fn evaluate_mapping_with(
-    model: &GnnModel,
-    base: &GnnWorkload,
-    mapping: &ModelMapping,
-    cfg: &AccelConfig,
-    objective: Objective,
-    timelines: bool,
-) -> Result<(f64, ChainReport), ModelError> {
     let chain = to_chain(model, base, &mapping.layer_dataflows, &mapping.links, cfg)?;
-    let report = evaluate_chain_with(&chain, cfg, timelines)?;
+    let report = evaluate_chain(&chain, &base.degrees, cfg)?;
     Ok((objective.score_chain(&report), report))
 }
 
@@ -466,15 +457,21 @@ pub fn explore_model(
     cache: &DseCache,
 ) -> ModelExploreOutcome {
     let t0 = Instant::now();
+    let wls = model.layer_workloads(base);
     let (space, phase_sims, phase_cache_hits) =
-        build_space_with_stats(model, base, cfg, opts, cache);
+        build_space_with_stats(model, base, &wls, cfg, opts, cache);
     let total = space.len();
     let threads = opts.threads.max(1);
 
-    // Winners don't need the per-chunk pipeline timelines; keep retention
-    // memory bounded (re-evaluate a winner to recover them).
+    // Every mapping — joint or uniform seed — lowers the same layer
+    // workloads and walks the same graph, prepared once and shared by the
+    // workers. Winners don't need the per-chunk pipeline timelines; keep
+    // retention memory bounded (re-evaluate a winner to recover them).
+    let graph = PreparedSpmm::new(&base.degrees);
     let score_mapping = |m: &ModelMapping| -> Option<(f64, ChainReport)> {
-        evaluate_mapping_with(model, base, m, cfg, opts.objective, false).ok()
+        let chain = lower_layers(model, &wls, &m.layer_dataflows, &m.links, cfg).ok()?;
+        let report = evaluate_chain_with(&chain, &graph, cfg, false).ok()?;
+        Some((opts.objective.score_chain(&report), report))
     };
     // The joint sweep never prunes, so the Pareto frontier can ride along the
     // scalar search without affecting it: every evaluated chain is offered.
@@ -510,7 +507,7 @@ pub fn explore_model(
     let mut uniform: Option<UniformBaseline> = None;
     let mut seeded = 0;
     for (j, preset) in Preset::all().iter().enumerate() {
-        let Ok(layer_dataflows) = uniform_layer_dataflows(model, base, preset, cfg) else {
+        let Ok(layer_dataflows) = uniform_dataflows(model, &wls, preset, cfg) else {
             continue;
         };
         let links = vec![Link::Sequential; layer_dataflows.len().saturating_sub(1)];

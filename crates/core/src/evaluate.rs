@@ -112,26 +112,42 @@ pub(crate) enum PhaseKind {
     Elementwise(ElementwiseWorkload),
 }
 
+impl PhaseKind {
+    /// Converts a consumer's `Pel`, in intermediate elements, onto the
+    /// progress axis its engine counts on a graph of `v` rows and `nnz`
+    /// stored non-zeros: the sparse engines consume per edge visit (a
+    /// consumer gathers arbitrary rows), the dense ones per element. The one
+    /// conversion shared by [`EvalPlan::new`]'s PP path and the consume side
+    /// of a pipelined chain link, so the two stay bit-identical.
+    pub(crate) fn consume_pel(&self, pel_elems: u64, v: usize, nnz: u64) -> u64 {
+        let row = match *self {
+            PhaseKind::Spmm { width } => width as u64,
+            PhaseKind::Sddmm { dot_width, heads } => heads.max(1) as u64 * dot_width as u64,
+            PhaseKind::Gemm { .. } | PhaseKind::Elementwise(_) => return pel_elems.max(1),
+        };
+        let (elems, visits) = (v as u64 * row, nnz * row);
+        if elems == 0 {
+            return pel_elems.max(1);
+        }
+        ((pel_elems as u128 * visits as u128) / elems as u128).max(1) as u64
+    }
+}
+
 impl PhaseKey {
     /// Runs this phase on its engine: the one dispatch from a phase spec to
     /// the four engines, shared by [`PreparedEval`] and the chain stages of
-    /// [`crate::multiphase`]. `spmm` holds the degrees the sparse phases walk.
-    pub(crate) fn simulate(
-        &self,
-        spmm: Option<&PreparedSpmm<'_>>,
-        cfg: &AccelConfig,
-    ) -> PhaseResult {
-        let sparse = || spmm.expect("sparse phases walk prepared degrees");
+    /// [`crate::multiphase`]. `graph` holds the degrees the sparse phases walk.
+    pub(crate) fn simulate(&self, graph: &PreparedSpmm<'_>, cfg: &AccelConfig) -> PhaseResult {
         let PhaseKey { kind, tiling, classes, opts } = self;
         match *kind {
             PhaseKind::Spmm { width } => {
-                simulate_spmm_prepared(sparse(), width, tiling, cfg, classes, opts)
+                simulate_spmm_prepared(graph, width, tiling, cfg, classes, opts)
             }
             PhaseKind::Gemm { dims } => {
                 simulate_gemm_prepared(&PreparedGemm::new(dims), tiling, cfg, classes, opts)
             }
             PhaseKind::Sddmm { dot_width, heads } => {
-                simulate_sddmm_prepared(sparse(), dot_width, heads, tiling, cfg, classes, opts)
+                simulate_sddmm_prepared(graph, dot_width, heads, tiling, cfg, classes, opts)
             }
             PhaseKind::Elementwise(wl) => {
                 simulate_elementwise_prepared(&wl, tiling, cfg, classes, opts)
@@ -221,6 +237,9 @@ impl EvalPlan {
             PhaseOrder::AC => workload.f,
             PhaseOrder::CA => workload.g,
         };
+        let agg_kind = PhaseKind::Spmm { width: agg_width };
+        let cmb_kind =
+            PhaseKind::Gemm { dims: GemmDims { v: workload.v, f: workload.f, g: workload.g } };
         let (agg_classes, cmb_classes) = match (workload.attention, dataflow.phase_order) {
             // GAT aggregation gathers SDDMM scores as its per-edge values.
             (Some(_), _) => (OperandClasses::aggregation_gat(), OperandClasses::combination_ac()),
@@ -257,11 +276,15 @@ impl EvalPlan {
                     PhaseOrder::AC => (ChunkSide::Produce, ChunkSide::Consume),
                     PhaseOrder::CA => (ChunkSide::Consume, ChunkSide::Produce),
                 };
-                agg_opts.chunk = Some(ChunkSpec {
-                    side: agg_side,
-                    pel: chunk_pel(agg_side, pel_elems, workload, agg_width),
-                });
-                cmb_opts.chunk = Some(ChunkSpec { side: cmb_side, pel: pel_elems });
+                let chunk = |kind: PhaseKind, side| {
+                    let pel = match side {
+                        ChunkSide::Produce => pel_elems,
+                        ChunkSide::Consume => kind.consume_pel(pel_elems, workload.v, workload.nnz),
+                    };
+                    Some(ChunkSpec { side, pel })
+                };
+                agg_opts.chunk = chunk(agg_kind, agg_side);
+                cmb_opts.chunk = chunk(cmb_kind, cmb_side);
                 (agg_opts, cmb_opts)
             }
         };
@@ -307,15 +330,13 @@ impl EvalPlan {
             pel,
             sddmm,
             agg: PhaseKey {
-                kind: PhaseKind::Spmm { width: agg_width },
+                kind: agg_kind,
                 tiling: dataflow.agg,
                 classes: agg_classes,
                 opts: agg_opts,
             },
             cmb: PhaseKey {
-                kind: PhaseKind::Gemm {
-                    dims: GemmDims { v: workload.v, f: workload.f, g: workload.g },
-                },
+                kind: cmb_kind,
                 tiling: dataflow.cmb,
                 classes: cmb_classes,
                 opts: cmb_opts,
@@ -408,7 +429,7 @@ impl<'a> PreparedEval<'a> {
 
     /// Runs one planned phase simulation.
     pub(crate) fn simulate(&self, key: &PhaseKey) -> PhaseResult {
-        key.simulate(Some(&self.spmm), self.cfg)
+        key.simulate(&self.spmm, self.cfg)
     }
 
     /// Composes a planned dataflow from its phase results, given in
@@ -798,29 +819,6 @@ pub(crate) fn intermediate_pel(workload: &GnnWorkload, dataflow: &GnnDataflow) -
         ),
     };
     Some(granularity.pel(rows, cols, t_row_max, t_col_max) as u64)
-}
-
-/// Rescales a `Pel` measured in intermediate elements onto the SpMM engine's
-/// edge-visit progress axis (`pel · visits / elems`, ≥ 1). Shared by the PP
-/// path here and [`crate::multiphase`]'s consume-side chunking so the two stay
-/// bit-identical — the chain lowering's cycle fidelity depends on it.
-pub(crate) fn scale_elems_to_visits(pel_elems: u64, total_elems: u64, total_visits: u64) -> u64 {
-    if total_elems == 0 {
-        return pel_elems.max(1);
-    }
-    ((pel_elems as u128 * total_visits as u128) / total_elems as u128).max(1) as u64
-}
-
-/// The SpMM engine tracks *consumption* progress in edge-visit units rather
-/// than intermediate elements (a CA consumer gathers arbitrary rows); convert
-/// `Pel` accordingly so chunk counts roughly align before resampling.
-fn chunk_pel(side: ChunkSide, pel_elems: u64, wl: &GnnWorkload, agg_width: usize) -> u64 {
-    match side {
-        ChunkSide::Produce => pel_elems,
-        ChunkSide::Consume => {
-            scale_elems_to_visits(pel_elems, (wl.v as u64) * agg_width as u64, wl.nnz * agg_width as u64)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,15 +20,14 @@
 use serde::Serialize;
 
 use omega_accel::engine::{ElementwiseOp, GemmDims};
-use omega_accel::{AccelConfig, EnergyModel};
+use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
-use omega_dataflow::tiles::choose_tiling;
+use omega_dataflow::tiles::{choose_tiling, TileContext};
 use omega_dataflow::{GnnDataflow, InterPhase, PhaseOrder};
 
-use crate::cost::EnergyBreakdown;
-use crate::evaluate::EvalPlan;
+use crate::evaluate::{EvalPlan, PhaseKind};
 use crate::mapper::{preset_candidates, rank, Objective};
-use crate::multiphase::{Chain, ChainError, ChainNode, Link, PartitionSplit, Stage};
+use crate::multiphase::{evaluate_chain, Chain, ChainError, ChainNode, Link, PartitionSplit, Stage};
 use crate::{evaluate, CostReport, EvalError, GnnWorkload};
 
 /// The GNN algorithm, deciding phase-order legality and per-layer structure.
@@ -244,10 +243,11 @@ pub fn evaluate_model(
     preset: &Preset,
     cfg: &AccelConfig,
 ) -> Result<ModelReport, ModelError> {
-    let dfs = uniform_layer_dataflows(model, base, preset, cfg)?;
+    let wls = model.layer_workloads(base);
+    let dfs = uniform_dataflows(model, &wls, preset, cfg)?;
     let mut layers = Vec::new();
     let mut mlp_cycles = Vec::new();
-    for (wl, df) in model.layer_workloads(base).iter().zip(&dfs) {
+    for (wl, df) in wls.iter().zip(&dfs) {
         let report = evaluate(wl, df, cfg).map_err(ModelError::Layer)?;
         mlp_cycles.push(mlp_cost(model, wl, df, cfg));
         layers.push(report);
@@ -300,17 +300,17 @@ fn mlp_stage(
     };
     let dims = GemmDims { v: wl.v, f: wl.g, g: mlp_hidden };
     let mut stage = Stage::gemm(format!("{}.mlp", wl.name), dims, df.cmb);
-    stage.opts = crate::evaluate::budgeted_options(cfg, cfg.full_bandwidth());
+    stage.phase.opts = crate::evaluate::budgeted_options(cfg, cfg.full_bandwidth());
     Some(stage)
 }
 
-/// [`mlp_stage`] run on its own: `(cycles, energy_pj)`, zero without an MLP.
+/// [`mlp_stage`] run on its own, as a one-stage chain: `(cycles, energy_pj)`,
+/// zero without an MLP.
 fn mlp_cost(model: &GnnModel, wl: &GnnWorkload, df: &GnnDataflow, cfg: &AccelConfig) -> (u64, f64) {
     mlp_stage(model, wl, df, cfg).map_or((0, 0.0), |stage| {
-        let (stats, _) = stage.run(cfg, cfg.full_bandwidth(), None);
-        let energy =
-            EnergyBreakdown::from_counters(&stats.counters, &EnergyModel::paper_default(), None);
-        (stats.cycles, energy.total_pj())
+        let chain = Chain { nodes: vec![ChainNode::Single(stage)], links: vec![] };
+        let r = evaluate_chain(&chain, &[], cfg).expect("a lone stage is a valid chain");
+        (r.total_cycles, r.energy.total_pj())
     })
 }
 
@@ -323,14 +323,20 @@ pub fn uniform_layer_dataflows(
     preset: &Preset,
     cfg: &AccelConfig,
 ) -> Result<Vec<GnnDataflow>, ModelError> {
+    uniform_dataflows(model, &model.layer_workloads(base), preset, cfg)
+}
+
+/// [`uniform_layer_dataflows`] for the already-built layer workloads `wls`.
+pub(crate) fn uniform_dataflows(
+    model: &GnnModel,
+    wls: &[GnnWorkload],
+    preset: &Preset,
+    cfg: &AccelConfig,
+) -> Result<Vec<GnnDataflow>, ModelError> {
     if !model.allowed(preset.pattern.phase_order) {
         return Err(ModelError::PhaseOrderNotAllowed { order: preset.pattern.phase_order });
     }
-    Ok(model
-        .layer_workloads(base)
-        .iter()
-        .map(|wl| crate::mapper::concretize_preset(preset, wl, cfg))
-        .collect())
+    Ok(wls.iter().map(|wl| crate::mapper::concretize_preset(preset, wl, cfg)).collect())
 }
 
 impl GnnModel {
@@ -348,19 +354,20 @@ impl GnnModel {
 
 /// Re-tiles a stage that no longer fits its PE allocation (a partitioned
 /// inter-layer link squeezed it): same pattern, balanced growth under the
-/// reduced budget. Stages that already fit keep their original tiling.
-fn fit_stage(stage: &mut Stage, ctx: &omega_dataflow::tiles::TileContext, budget: usize) {
+/// reduced budget. Stages that already fit keep their original tiling. A
+/// GEMM stage grows against its own dimensions — GIN's MLP is not the
+/// layer's Combination — and every other stage against its `layer` context.
+fn fit_stage(stage: &mut Stage, layer: &TileContext, budget: usize) {
     if stage.pe_footprint() <= budget {
         return;
     }
+    let ctx = match stage.phase.kind {
+        PhaseKind::Gemm { dims } => TileContext { v: dims.v, f_cmb: dims.f, g: dims.g, ..*layer },
+        _ => *layer,
+    };
     let pattern = stage.tiling().to_pattern();
-    let fitted = choose_tiling(&pattern, ctx, budget, &crate::dse::balanced_policy(&pattern));
-    match &mut stage.kind {
-        crate::multiphase::StageKind::Gemm { tiling, .. }
-        | crate::multiphase::StageKind::Spmm { tiling, .. }
-        | crate::multiphase::StageKind::Sddmm { tiling, .. }
-        | crate::multiphase::StageKind::Elementwise { tiling, .. } => *tiling = fitted,
-    }
+    let policy = crate::dse::balanced_policy(&pattern);
+    stage.phase.tiling = choose_tiling(&pattern, &ctx, budget, &policy);
 }
 
 /// Lowers a whole GNN model onto a multiphase [`Chain`]. Each layer's stages
@@ -380,6 +387,9 @@ fn fit_stage(stage: &mut Stage, ctx: &omega_dataflow::tiles::TileContext, budget
 /// class-by-class counters equal [`evaluate_model`]'s per-layer sums under
 /// every knob (chain energy is coarser — all non-RF traffic at GB rate, no
 /// partition discount).
+///
+/// The chain's sparse stages walk `base`'s graph: evaluate it with
+/// [`evaluate_chain`] over `base.degrees`.
 pub fn to_chain(
     model: &GnnModel,
     base: &GnnWorkload,
@@ -387,7 +397,17 @@ pub fn to_chain(
     inter_links: &[Link],
     cfg: &AccelConfig,
 ) -> Result<Chain, ModelError> {
-    let wls = model.layer_workloads(base);
+    lower_layers(model, &model.layer_workloads(base), layer_dataflows, inter_links, cfg)
+}
+
+/// [`to_chain`] for the already-built layer workloads `wls`.
+pub(crate) fn lower_layers(
+    model: &GnnModel,
+    wls: &[GnnWorkload],
+    layer_dataflows: &[GnnDataflow],
+    inter_links: &[Link],
+    cfg: &AccelConfig,
+) -> Result<Chain, ModelError> {
     if layer_dataflows.len() != wls.len() {
         return Err(ModelError::LayerCountMismatch { expected: wls.len(), got: layer_dataflows.len() });
     }
@@ -414,7 +434,7 @@ pub fn to_chain(
             .iter()
             .chain(pair)
             .chain(&plan.post)
-            .map(|key| Stage::planned(&wl.name, key, &wl.degrees))
+            .map(|key| Stage::planned(&wl.name, key))
             .collect();
         stages.extend(mlp_stage(model, wl, df, cfg));
         layer_stages.push(stages);
@@ -622,7 +642,7 @@ mod tests {
                     let per_layer = evaluate_model(model, base, preset, &cfg).unwrap();
                     let links = vec![Link::Sequential; dfs.len() - 1];
                     let chain = to_chain(model, base, &dfs, &links, &cfg).unwrap();
-                    let r = crate::multiphase::evaluate_chain(&chain, &cfg).unwrap();
+                    let r = evaluate_chain(&chain, &base.degrees, &cfg).unwrap();
                     let mut counters = AccessCounters::default();
                     let mut stages = 0;
                     let wls = model.layer_workloads(base);
@@ -631,7 +651,9 @@ mod tests {
                         stages += 2 + usize::from(l.sddmm.is_some());
                         stages += usize::from(l.post.is_some());
                         if let Some(mlp) = mlp_stage(model, wl, df, &cfg) {
-                            counters.merge(&mlp.run(&cfg, cfg.full_bandwidth(), None).0.counters);
+                            let nodes = vec![ChainNode::Single(mlp)];
+                            let alone = Chain { nodes, links: vec![] };
+                            counters.merge(&evaluate_chain(&alone, &[], &cfg).unwrap().counters);
                             stages += 1;
                         }
                     }
@@ -730,8 +752,41 @@ mod tests {
         };
         assert!(footprint(1) <= 96, "producer footprint {}", footprint(1));
         assert!(footprint(2) <= 416);
-        let r = crate::multiphase::evaluate_chain(&chain, &cfg).unwrap();
+        let r = evaluate_chain(&chain, &b.degrees, &cfg).unwrap();
         assert!(r.total_cycles > 0);
+    }
+
+    #[test]
+    fn squeezed_mlp_stages_are_retiled_against_their_own_dims() {
+        use omega_dataflow::Dim;
+        // GIN's MLP GEMM (`V×G · G×mlp_hidden`) squeezed by a partitioned
+        // inter-layer link grows against its own dims, not the layer's
+        // Combination (`F = 1433` in Cora's first layer).
+        let cfg = AccelConfig::paper_default();
+        let model = GnnModel::gin(3, 64);
+        let b = base();
+        let (elems, _) = model.layer_output_shape(&b, 0);
+        let links = [Link::pipelined_split(elems / 4, 128, 384); 2];
+        let mut retiled = 0;
+        for preset in Preset::all() {
+            let dfs = uniform_layer_dataflows(&model, &b, &preset, &cfg).unwrap();
+            let chain = to_chain(&model, &b, &dfs, &links, &cfg).unwrap();
+            for node in &chain.nodes {
+                let ChainNode::Single(stage) = node else { continue };
+                let PhaseKind::Gemm { dims } = stage.phase.kind else { continue };
+                if !stage.name.ends_with(".mlp") {
+                    continue;
+                }
+                let t = stage.tiling();
+                let fits = t.tile_of(Dim::V) <= dims.v
+                    && t.tile_of(Dim::F) <= dims.f
+                    && t.tile_of(Dim::G) <= dims.g;
+                let tiles = t.tiles();
+                assert!(fits, "{} {}: tiles {tiles:?} over {dims:?}", preset.name, stage.name);
+                retiled += usize::from(dfs.iter().all(|df| df.cmb != *t));
+            }
+        }
+        assert!(retiled > 0, "no MLP stage was squeezed");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! dataflows for multiphase computations (GEMM-GEMM / GEMM-SpMM / SpMM-SpMM).
 //! One immediate example is Deep Learning Recommendation Models that is built
 //! of an SpMM and a DenseGEMM in parallel followed by concatenation followed by
-//! a DenseGEMM." This module models such chains: stages are individual
-//! GEMM/SpMM phase runs, grouped sequentially, pipelined pairwise (the SP/PP
-//! composition), or in parallel on partitioned PEs (the DLRM front end).
+//! a DenseGEMM." This module models such chains: a stage is one planned
+//! phase — the same `PhaseKey` a layer evaluation simulates — and stages are
+//! grouped sequentially, pipelined pairwise (the SP/PP composition), or in
+//! parallel on partitioned PEs (the DLRM front end). The sparse operand is
+//! the evaluation's, not a stage's: [`evaluate_chain`] prepares the one graph
+//! every SpMM/SDDMM stage of the chain walks.
 //!
 //! Pipelined links come in two flavours:
 //!
@@ -34,105 +37,61 @@ use crate::cost::EnergyBreakdown;
 use crate::evaluate::{PhaseKey, PhaseKind, PhaseResult};
 use crate::pipeline::pipeline_runtime_of_timelines;
 
-/// One kernel stage of a multiphase chain.
-#[derive(Debug, Clone)]
-pub enum StageKind {
-    /// A dense GEMM with the given dimensions and Combination tiling.
-    Gemm {
-        /// Matrix dimensions.
-        dims: GemmDims,
-        /// Concrete tiling (Combination phase).
-        tiling: IntraTiling,
-    },
-    /// A sparse SpMM with the given row degrees, dense width, and Aggregation
-    /// tiling.
-    Spmm {
-        /// Stored non-zeros per row.
-        degrees: Vec<usize>,
-        /// Dense operand width.
-        width: usize,
-        /// Concrete tiling (Aggregation phase).
-        tiling: IntraTiling,
-    },
-    /// An SDDMM attention-scoring stage (per-edge dot products masked to the
-    /// adjacency, plus the edge-wise softmax) with a `V`/`F`/`N` tiling.
-    Sddmm {
-        /// Stored non-zeros per row.
-        degrees: Vec<usize>,
-        /// Per-head dot-product length.
-        dot_width: usize,
-        /// Attention heads.
-        heads: usize,
-        /// Concrete tiling (Aggregation dimension set; must satisfy
-        /// `omega_dataflow::validate_sddmm`).
-        tiling: IntraTiling,
-    },
-    /// A streaming elementwise/normalization stage (activation, LayerNorm)
-    /// over a `rows × width` matrix — a GNN layer's post-phase in a lowered
-    /// chain.
-    Elementwise {
-        /// Rows of the operand matrix.
-        rows: usize,
-        /// Columns of the operand matrix.
-        width: usize,
-        /// The operation applied.
-        op: ElementwiseOp,
-        /// Concrete tiling (either phase's shape; every loop order is legal).
-        tiling: IntraTiling,
-    },
-}
-
-/// A named stage: the kernel plus how it runs — the operand classes that
-/// decide its Fig. 13 buckets and the engine options (residency, capacity
-/// budget, reference walk). [`evaluate_chain`] overwrites the options'
-/// bandwidth share and chunk spec from the stage's links.
+/// A named stage of a multiphase chain: one planned phase — its kernel shape,
+/// concrete tiling, the operand classes that decide its Fig. 13 buckets and
+/// the engine options (residency, capacity budget, reference walk) it runs
+/// with. [`evaluate_chain`] overwrites the options' bandwidth share and chunk
+/// spec from the stage's links; the sparse stages walk the chain's one graph.
 #[derive(Debug, Clone)]
 pub struct Stage {
     /// Stage label (for reports).
     pub name: String,
-    /// The kernel.
-    pub kind: StageKind,
-    /// Operand-class assignment of the stage's traffic.
-    pub classes: OperandClasses,
-    /// Engine options the stage runs with.
-    pub opts: EngineOptions,
+    /// The phase the stage runs.
+    pub(crate) phase: PhaseKey,
 }
 
 impl Stage {
-    /// A stage whose traffic lands in `classes`, with plain options: no
-    /// residency, no capacity budget. The bandwidth share is a placeholder
-    /// that [`evaluate_chain`] replaces.
-    fn plain(name: impl Into<String>, kind: StageKind, classes: OperandClasses) -> Self {
+    /// A stage running `kind` on `tiling` with its traffic in `classes` and
+    /// plain options: no residency, no capacity budget. The bandwidth share is
+    /// a placeholder that [`evaluate_chain`] replaces.
+    fn unplanned(
+        name: impl Into<String>,
+        kind: PhaseKind,
+        tiling: IntraTiling,
+        classes: OperandClasses,
+    ) -> Self {
         let opts = EngineOptions::plain(BandwidthShare { dist: 0, red: 0 });
-        Stage { name: name.into(), kind, classes, opts }
+        Stage { name: name.into(), phase: PhaseKey { kind, tiling, classes, opts } }
     }
 
     /// Builds a GEMM stage (AC Combination classes: reads an intermediate,
     /// writes an output).
     pub fn gemm(name: impl Into<String>, dims: GemmDims, tiling: IntraTiling) -> Self {
-        Self::plain(name, StageKind::Gemm { dims, tiling }, OperandClasses::combination_ac())
+        Self::unplanned(name, PhaseKind::Gemm { dims }, tiling, OperandClasses::combination_ac())
     }
 
-    /// Builds an SpMM stage (AC Aggregation classes: reads input features,
-    /// writes an intermediate).
-    pub fn spmm(name: impl Into<String>, degrees: Vec<usize>, width: usize, tiling: IntraTiling) -> Self {
-        let kind = StageKind::Spmm { degrees, width, tiling };
-        Self::plain(name, kind, OperandClasses::aggregation_ac())
+    /// Builds an SpMM stage over the chain's graph with a dense operand of
+    /// `width` columns (AC Aggregation classes: reads input features, writes
+    /// an intermediate).
+    pub fn spmm(name: impl Into<String>, width: usize, tiling: IntraTiling) -> Self {
+        Self::unplanned(name, PhaseKind::Spmm { width }, tiling, OperandClasses::aggregation_ac())
     }
 
-    /// Builds an SDDMM attention-scoring stage.
+    /// Builds an SDDMM attention-scoring stage over the chain's graph: `heads`
+    /// per-edge dot products of `dot_width` elements plus the edge-wise
+    /// softmax, on a tiling that satisfies `omega_dataflow::validate_sddmm`.
     pub fn sddmm(
         name: impl Into<String>,
-        degrees: Vec<usize>,
         dot_width: usize,
         heads: usize,
         tiling: IntraTiling,
     ) -> Self {
-        let kind = StageKind::Sddmm { degrees, dot_width, heads, tiling };
-        Self::plain(name, kind, OperandClasses::sddmm())
+        let kind = PhaseKind::Sddmm { dot_width, heads };
+        Self::unplanned(name, kind, tiling, OperandClasses::sddmm())
     }
 
-    /// Builds an elementwise/normalization stage on the output matrix.
+    /// Builds an elementwise/normalization stage on a `rows × width` output
+    /// matrix.
     pub fn elementwise(
         name: impl Into<String>,
         rows: usize,
@@ -140,103 +99,42 @@ impl Stage {
         op: ElementwiseOp,
         tiling: IntraTiling,
     ) -> Self {
-        let kind = StageKind::Elementwise { rows, width, op, tiling };
-        Self::plain(name, kind, OperandClasses::elementwise_on(OperandClass::Output))
+        let kind = PhaseKind::Elementwise(ElementwiseWorkload { rows, width, op });
+        Self::unplanned(name, kind, tiling, OperandClasses::elementwise_on(OperandClass::Output))
     }
 
     /// A phase [`crate::evaluate`] planned for `layer` as a chain stage named
-    /// after its role (`{layer}.att`, `.agg`, `.cmb` or `.post`), `degrees`
-    /// being the layer graph's row degrees.
-    pub(crate) fn planned(layer: &str, key: &PhaseKey, degrees: &[usize]) -> Self {
-        let tiling = key.tiling;
-        let (role, kind) = match key.kind {
-            PhaseKind::Sddmm { dot_width, heads } => {
-                ("att", StageKind::Sddmm { degrees: degrees.to_vec(), dot_width, heads, tiling })
-            }
-            PhaseKind::Spmm { width } => {
-                ("agg", StageKind::Spmm { degrees: degrees.to_vec(), width, tiling })
-            }
-            PhaseKind::Gemm { dims } => ("cmb", StageKind::Gemm { dims, tiling }),
-            PhaseKind::Elementwise(ElementwiseWorkload { rows, width, op }) => {
-                ("post", StageKind::Elementwise { rows, width, op, tiling })
-            }
+    /// after its role (`{layer}.att`, `.agg`, `.cmb` or `.post`).
+    pub(crate) fn planned(layer: &str, phase: &PhaseKey) -> Self {
+        let role = match phase.kind {
+            PhaseKind::Sddmm { .. } => "att",
+            PhaseKind::Spmm { .. } => "agg",
+            PhaseKind::Gemm { .. } => "cmb",
+            PhaseKind::Elementwise(_) => "post",
         };
-        Stage { name: format!("{layer}.{role}"), kind, classes: key.classes, opts: key.opts }
+        Stage { name: format!("{layer}.{role}"), phase: *phase }
     }
 
-    /// Runs the stage at `bandwidth` with the chunk spec `chunk`.
+    /// Runs the stage over `graph` at `bandwidth` with the chunk spec `chunk`.
     pub(crate) fn run(
         &self,
+        graph: &PreparedSpmm<'_>,
         cfg: &AccelConfig,
         bandwidth: BandwidthShare,
         chunk: Option<ChunkSpec>,
     ) -> PhaseResult {
-        let (kind, degrees) = match &self.kind {
-            StageKind::Gemm { dims, .. } => (PhaseKind::Gemm { dims: *dims }, None),
-            StageKind::Spmm { degrees, width, .. } => {
-                (PhaseKind::Spmm { width: *width }, Some(degrees))
-            }
-            StageKind::Sddmm { degrees, dot_width, heads, .. } => {
-                (PhaseKind::Sddmm { dot_width: *dot_width, heads: *heads }, Some(degrees))
-            }
-            StageKind::Elementwise { rows, width, op, .. } => {
-                let wl = ElementwiseWorkload { rows: *rows, width: *width, op: *op };
-                (PhaseKind::Elementwise(wl), None)
-            }
-        };
-        let key = PhaseKey {
-            kind,
-            tiling: *self.tiling(),
-            classes: self.classes,
-            opts: EngineOptions { bandwidth, chunk, ..self.opts },
-        };
-        let prepared = degrees.map(|d| PreparedSpmm::new(d));
-        key.simulate(prepared.as_ref(), cfg)
+        let opts = EngineOptions { bandwidth, chunk, ..self.phase.opts };
+        PhaseKey { opts, ..self.phase }.simulate(graph, cfg)
     }
 
     /// The stage's concrete tiling.
     pub fn tiling(&self) -> &IntraTiling {
-        match &self.kind {
-            StageKind::Gemm { tiling, .. }
-            | StageKind::Spmm { tiling, .. }
-            | StageKind::Sddmm { tiling, .. }
-            | StageKind::Elementwise { tiling, .. } => tiling,
-        }
+        &self.phase.tiling
     }
 
     /// PEs the stage's tiling occupies.
     pub fn pe_footprint(&self) -> usize {
         self.tiling().pe_footprint()
-    }
-
-    /// The `Pel` the engine should count on the consume side: the SpMM engine
-    /// tracks consumption in edge-visit units (a consumer gathers arbitrary
-    /// rows), so convert intermediate elements accordingly (same conversion as
-    /// [`evaluate`](crate::evaluate())'s PP path); GEMM consumes in element
-    /// units directly.
-    fn consume_pel(&self, pel_elems: u64) -> u64 {
-        match &self.kind {
-            StageKind::Gemm { .. } => pel_elems.max(1),
-            StageKind::Spmm { degrees, width, .. } => {
-                let total_elems = degrees.len() as u64 * *width as u64;
-                let total_visits: u64 =
-                    degrees.iter().map(|&d| d as u64).sum::<u64>() * *width as u64;
-                crate::evaluate::scale_elems_to_visits(pel_elems, total_elems, total_visits)
-            }
-            StageKind::Sddmm { degrees, dot_width, heads, .. } => {
-                // The SDDMM consumes its feature input per edge visit (MAC
-                // units), like the SpMM consume path.
-                let h = (*heads).max(1) as u64;
-                let total_elems = degrees.len() as u64 * h * *dot_width as u64;
-                let total_visits: u64 = degrees.iter().map(|&d| d as u64).sum::<u64>()
-                    * h
-                    * *dot_width as u64;
-                crate::evaluate::scale_elems_to_visits(pel_elems, total_elems, total_visits)
-            }
-            // The elementwise engine consumes one element per element — no
-            // unit conversion needed.
-            StageKind::Elementwise { .. } => pel_elems.max(1),
-        }
     }
 }
 
@@ -388,21 +286,28 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// Evaluates a chain on the accelerator.
+/// Evaluates a chain on the accelerator, its SpMM and SDDMM stages walking
+/// the one graph whose stored non-zeros per row are `degrees` (a chain with
+/// no sparse stage passes `&[]`).
 ///
 /// Returns a [`ChainError`] when the chain is structurally invalid: mismatched
 /// link count, a pipelined link touching a `Parallel` node, a stage pipelined
 /// on both sides, or a partitioned link whose PE allocation cannot hold its
 /// stage (or oversubscribes the machine).
-pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, ChainError> {
-    evaluate_chain_with(chain, cfg, true)
+pub fn evaluate_chain(
+    chain: &Chain,
+    degrees: &[usize],
+    cfg: &AccelConfig,
+) -> Result<ChainReport, ChainError> {
+    evaluate_chain_with(chain, &PreparedSpmm::new(degrees), cfg, true)
 }
 
-/// [`evaluate_chain`], expanding the stages' chunk timelines into their
-/// `chunk_marks` only with `timelines`; the pipelined totals are composed
-/// run-wise either way.
+/// [`evaluate_chain`] over a prepared `graph`, expanding the stages' chunk
+/// timelines into their `chunk_marks` only with `timelines`; the pipelined
+/// totals are composed run-wise either way.
 pub(crate) fn evaluate_chain_with(
     chain: &Chain,
+    graph: &PreparedSpmm<'_>,
     cfg: &AccelConfig,
     timelines: bool,
 ) -> Result<ChainReport, ChainError> {
@@ -463,10 +368,11 @@ pub(crate) fn evaluate_chain_with(
                         }
                         bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).1;
                     }
-                    chunk =
-                        Some(ChunkSpec { side: ChunkSide::Consume, pel: stage.consume_pel(pel) });
+                    let pel = stage.phase.kind.consume_pel(pel, graph.degrees().len(), graph.nnz());
+                    chunk = Some(ChunkSpec { side: ChunkSide::Consume, pel });
                 }
-                node_stats.push(vec![(stage.name.clone(), stage.run(cfg, bandwidth, chunk))]);
+                let result = stage.run(graph, cfg, bandwidth, chunk);
+                node_stats.push(vec![(stage.name.clone(), result)]);
             }
             ChainNode::Parallel(group) => {
                 if produce.is_some() || consume.is_some() {
@@ -490,7 +396,7 @@ pub(crate) fn evaluate_chain_with(
                         .iter()
                         .map(|s| {
                             let bandwidth = cfg.bandwidth_fraction(s.pe_footprint());
-                            (s.name.clone(), s.run(cfg, bandwidth, None))
+                            (s.name.clone(), s.run(graph, cfg, bandwidth, None))
                         })
                         .collect(),
                 );
@@ -583,7 +489,7 @@ mod tests {
             links: vec![Link::Sequential],
         };
         let cfg = AccelConfig::paper_default();
-        let r = evaluate_chain(&chain, &cfg).unwrap();
+        let r = evaluate_chain(&chain, &[], &cfg).unwrap();
         assert_eq!(r.stages.len(), 2);
         assert_eq!(r.total_cycles, r.stages[0].1.cycles + r.stages[1].1.cycles);
         assert!(r.energy.total_pj() > 0.0);
@@ -599,14 +505,14 @@ mod tests {
             links: vec![],
         };
         let cfg = AccelConfig::paper_default();
-        let r = evaluate_chain(&chain, &cfg).unwrap();
+        let r = evaluate_chain(&chain, &[], &cfg).unwrap();
         let max = r.stages.iter().map(|(_, s)| s.cycles).max().unwrap();
         assert_eq!(r.total_cycles, max);
     }
 
     #[test]
     fn pipelined_link_overlaps() {
-        let producer = Stage::spmm("embed", vec![4; 64], 16, agg_tiling([8, 8, 1]));
+        let producer = Stage::spmm("embed", 16, agg_tiling([8, 8, 1]));
         let consumer = gemm_stage("top", 64, 16, 8);
         let pel = 8 * 16; // 8 rows
         let seq = Chain {
@@ -621,8 +527,8 @@ mod tests {
             links: vec![Link::pipelined(pel)],
         };
         let cfg = AccelConfig::paper_default();
-        let r_seq = evaluate_chain(&seq, &cfg).unwrap();
-        let r_pip = evaluate_chain(&pip, &cfg).unwrap();
+        let r_seq = evaluate_chain(&seq, &[4; 64], &cfg).unwrap();
+        let r_pip = evaluate_chain(&pip, &[4; 64], &cfg).unwrap();
         assert!(r_pip.total_cycles <= r_seq.total_cycles);
         let slower = r_pip.stages.iter().map(|(_, s)| s.cycles).max().unwrap();
         assert!(r_pip.total_cycles >= slower);
@@ -630,7 +536,7 @@ mod tests {
 
     #[test]
     fn partitioned_pipelined_link_throttles_both_sides() {
-        let producer = Stage::spmm("embed", vec![4; 64], 16, agg_tiling([8, 8, 1]));
+        let producer = Stage::spmm("embed", 16, agg_tiling([8, 8, 1]));
         let consumer = gemm_stage("top", 64, 16, 8);
         let pel = 8 * 16;
         let cfg = AccelConfig::paper_default();
@@ -642,8 +548,8 @@ mod tests {
             nodes: vec![ChainNode::Single(producer), ChainNode::Single(consumer)],
             links: vec![Link::pipelined_split(pel, 256, 256)],
         };
-        let r_ideal = evaluate_chain(&ideal, &cfg).unwrap();
-        let r_split = evaluate_chain(&split, &cfg).unwrap();
+        let r_ideal = evaluate_chain(&ideal, &[4; 64], &cfg).unwrap();
+        let r_split = evaluate_chain(&split, &[4; 64], &cfg).unwrap();
         // Halving the NoC share can only slow the stages down.
         assert!(r_split.total_cycles >= r_ideal.total_cycles);
         for ((_, a), (_, b)) in r_split.stages.iter().zip(&r_ideal.stages) {
@@ -658,7 +564,7 @@ mod tests {
         let small = gemm_stage("small", 8, 8, 4);
         let peak_of = |stage: Stage| {
             let chain = Chain { nodes: vec![ChainNode::Single(stage)], links: vec![] };
-            evaluate_chain(&chain, &cfg).unwrap().buffer_peak_bytes
+            evaluate_chain(&chain, &[], &cfg).unwrap().buffer_peak_bytes
         };
         let (pb, ps) = (peak_of(big.clone()), peak_of(small.clone()));
         assert!(pb > 0 && ps > 0);
@@ -667,20 +573,20 @@ mod tests {
             nodes: vec![ChainNode::Single(big.clone()), ChainNode::Single(small.clone())],
             links: vec![Link::Sequential],
         };
-        assert_eq!(evaluate_chain(&seq, &cfg).unwrap().buffer_peak_bytes, pb.max(ps));
+        assert_eq!(evaluate_chain(&seq, &[], &cfg).unwrap().buffer_peak_bytes, pb.max(ps));
         // …a parallel group's members add…
         let par = Chain {
             nodes: vec![ChainNode::Parallel(vec![big.clone(), small.clone()])],
             links: vec![],
         };
-        assert_eq!(evaluate_chain(&par, &cfg).unwrap().buffer_peak_bytes, pb + ps);
+        assert_eq!(evaluate_chain(&par, &[], &cfg).unwrap().buffer_peak_bytes, pb + ps);
         // …and a pipelined pair adds both sides plus the 2×Pel ping-pong.
         let pel = 8 * 16;
         let pip = Chain {
             nodes: vec![ChainNode::Single(big), ChainNode::Single(small)],
             links: vec![Link::pipelined(pel)],
         };
-        let r = evaluate_chain(&pip, &cfg).unwrap();
+        let r = evaluate_chain(&pip, &[], &cfg).unwrap();
         // Chunked runs re-simulate the stages, so compare against the report's
         // own per-stage peaks rather than the unchunked singles.
         let stage_peak = |s: &omega_accel::PhaseStats| {
@@ -704,17 +610,17 @@ mod tests {
         };
         // Producer squeezed below its 64-PE footprint.
         assert_eq!(
-            evaluate_chain(&mk(Link::pipelined_split(64, 32, 480)), &cfg).unwrap_err(),
+            evaluate_chain(&mk(Link::pipelined_split(64, 32, 480)), &[], &cfg).unwrap_err(),
             ChainError::PartitionTooSmall { node: 0, allocated: 32, footprint: 64 }
         );
         // Consumer squeezed below its footprint.
         assert_eq!(
-            evaluate_chain(&mk(Link::pipelined_split(64, 448, 32)), &cfg).unwrap_err(),
+            evaluate_chain(&mk(Link::pipelined_split(64, 448, 32)), &[], &cfg).unwrap_err(),
             ChainError::PartitionTooSmall { node: 1, allocated: 32, footprint: 64 }
         );
         // More PEs than the machine has.
         assert_eq!(
-            evaluate_chain(&mk(Link::pipelined_split(64, 400, 200)), &cfg).unwrap_err(),
+            evaluate_chain(&mk(Link::pipelined_split(64, 400, 200)), &[], &cfg).unwrap_err(),
             ChainError::PartitionOversubscribed { allocated: 600, available: 512 }
         );
     }
@@ -732,7 +638,7 @@ mod tests {
             links: vec![],
         };
         assert_eq!(
-            evaluate_chain(&chain, &AccelConfig::paper_default()).unwrap_err(),
+            evaluate_chain(&chain, &[], &AccelConfig::paper_default()).unwrap_err(),
             ChainError::PartitionOversubscribed { allocated: 1024, available: 512 }
         );
     }
@@ -743,7 +649,7 @@ mod tests {
         let chain = Chain {
             nodes: vec![
                 ChainNode::Parallel(vec![
-                    Stage::spmm("embedding", vec![8; 128], 32, agg_tiling([8, 8, 1])),
+                    Stage::spmm("embedding", 32, agg_tiling([8, 8, 1])),
                     gemm_stage("bottom-mlp", 128, 32, 32),
                 ]),
                 ChainNode::Single(gemm_stage("top-mlp", 128, 64, 16)),
@@ -751,7 +657,7 @@ mod tests {
             links: vec![Link::Sequential],
         };
         let cfg = AccelConfig::paper_default();
-        let r = evaluate_chain(&chain, &cfg).unwrap();
+        let r = evaluate_chain(&chain, &[8; 128], &cfg).unwrap();
         assert_eq!(r.stages.len(), 3);
         assert!(r.total_cycles > 0);
     }
@@ -763,7 +669,7 @@ mod tests {
             links: vec![Link::Sequential],
         };
         assert_eq!(
-            evaluate_chain(&chain, &AccelConfig::paper_default()).unwrap_err(),
+            evaluate_chain(&chain, &[], &AccelConfig::paper_default()).unwrap_err(),
             ChainError::LinkCountMismatch { nodes: 1, links: 1 }
         );
     }
@@ -778,7 +684,7 @@ mod tests {
             links: vec![Link::pipelined(4)],
         };
         assert_eq!(
-            evaluate_chain(&chain, &AccelConfig::paper_default()).unwrap_err(),
+            evaluate_chain(&chain, &[], &AccelConfig::paper_default()).unwrap_err(),
             ChainError::PipelinedParallelNode { node: 0 }
         );
         // The same link arriving *at* a parallel node is equally rejected.
@@ -790,7 +696,7 @@ mod tests {
             links: vec![Link::pipelined(4)],
         };
         assert_eq!(
-            evaluate_chain(&chain, &AccelConfig::paper_default()).unwrap_err(),
+            evaluate_chain(&chain, &[], &AccelConfig::paper_default()).unwrap_err(),
             ChainError::PipelinedParallelNode { node: 1 }
         );
     }
@@ -806,7 +712,7 @@ mod tests {
             links: vec![Link::pipelined(8), Link::pipelined(8)],
         };
         assert_eq!(
-            evaluate_chain(&chain, &AccelConfig::paper_default()).unwrap_err(),
+            evaluate_chain(&chain, &[], &AccelConfig::paper_default()).unwrap_err(),
             ChainError::PipelinedBothSides { node: 1 }
         );
     }
@@ -827,7 +733,7 @@ mod tests {
             links: vec![Link::Sequential],
         };
         let cfg = AccelConfig::paper_default();
-        let r = evaluate_chain(&chain, &cfg).unwrap();
+        let r = evaluate_chain(&chain, &[], &cfg).unwrap();
         assert_eq!(r.stages.len(), 2);
         assert_eq!(r.total_cycles, r.stages[0].1.cycles + r.stages[1].1.cycles);
         // Two sweeps (stats + write-back) over the 64×8 output.
@@ -837,11 +743,11 @@ mod tests {
 
     #[test]
     fn residency_flags_remove_intermediate_traffic() {
-        let producer = Stage::spmm("agg", vec![4; 64], 16, agg_tiling([8, 8, 1]));
+        let producer = Stage::spmm("agg", 16, agg_tiling([8, 8, 1]));
         let consumer = gemm_stage("cmb", 64, 16, 8);
         let (mut local, mut resident) = (producer.clone(), consumer.clone());
-        local.opts.output_stays_local = true;
-        resident.opts.input_resident = true;
+        local.phase.opts.output_stays_local = true;
+        resident.phase.opts.input_resident = true;
         let cfg = AccelConfig::paper_default();
         let plain = Chain {
             nodes: vec![ChainNode::Single(producer.clone()), ChainNode::Single(consumer.clone())],
@@ -851,8 +757,8 @@ mod tests {
             nodes: vec![ChainNode::Single(local), ChainNode::Single(resident)],
             links: vec![Link::Sequential],
         };
-        let r_plain = evaluate_chain(&plain, &cfg).unwrap();
-        let r_res = evaluate_chain(&resident, &cfg).unwrap();
+        let r_plain = evaluate_chain(&plain, &[4; 64], &cfg).unwrap();
+        let r_res = evaluate_chain(&resident, &[4; 64], &cfg).unwrap();
         assert!(r_plain.counters.gb_of(OperandClass::Intermediate) > 0);
         assert_eq!(r_res.counters.gb_of(OperandClass::Intermediate), 0);
         assert!(r_res.total_cycles <= r_plain.total_cycles);

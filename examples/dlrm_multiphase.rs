@@ -40,8 +40,9 @@ fn main() {
     // 64 dense features; the concatenated 128-wide vector feeds a 2-layer top
     // MLP whose stages can be pipelined producer/consumer.
     let batch = 2048;
+    let lookups = vec![32; batch];
     let front = ChainNode::Parallel(vec![
-        Stage::spmm("embedding-gather", vec![32; batch], 64, agg_tiling([16, 16, 1])),
+        Stage::spmm("embedding-gather", 64, agg_tiling([16, 16, 1])),
         Stage::gemm("bottom-mlp", GemmDims { v: batch, f: 64, g: 64 }, cmb_tiling([16, 16, 1])),
     ]);
     let top1 = |t: [usize; 3]| {
@@ -65,7 +66,7 @@ fn main() {
             nodes: vec![front.clone(), ChainNode::Single(top1(t1)), ChainNode::Single(top2(t2))],
             links: vec![Link::Sequential, link],
         };
-        let report = evaluate_chain(&chain, &hw).expect("chain is structurally valid");
+        let report = evaluate_chain(&chain, &lookups, &hw).expect("chain is structurally valid");
         println!("{label}:");
         for (name, stats) in &report.stages {
             println!(
@@ -89,7 +90,7 @@ fn main() {
         nodes: vec![front, ChainNode::Single(top1([16, 16, 2]))],
         links: vec![Link::pipelined(pel)],
     };
-    let err = evaluate_chain(&bad, &hw).expect_err("parallel neighbours cannot pipeline");
+    let err = evaluate_chain(&bad, &lookups, &hw).expect_err("parallel neighbours cannot pipeline");
     println!("pipelining a Parallel neighbour is rejected: {err}\n");
 
     println!("the taxonomy's inter-phase analysis carries over unchanged: the");

@@ -409,6 +409,28 @@ fn model_work_counters_are_pinned() {
 }
 
 #[test]
+fn model_search_prepares_its_graph_once() {
+    use omega_gnn::accel::telemetry;
+    use omega_gnn::core::dse::model::{explore_model, ModelDseOptions};
+    use omega_gnn::core::models::GnnModel;
+
+    // The joint GAT-2 Pareto search on Cora with its layer searches already
+    // cached: every one of its 169 chain evaluations walks one shared
+    // preparation of the graph. `prepare_ops` is thread-local, so the pin
+    // holds only at one thread, where every chain runs on this one.
+    let workload = GnnWorkload::gcn_layer(&DatasetSpec::cora().generate(CLI_SEED), CLI_HIDDEN);
+    let (model, hw) = (GnnModel::gat_2layer(8, 7), AccelConfig::paper_default());
+    let opts =
+        ModelDseOptions { threads: 1, top_k: CLI_TOP, pareto: true, ..ModelDseOptions::default() };
+    let cache = DseCache::new();
+    explore_model(&model, &workload, &hw, &opts, &cache);
+    telemetry::reset_prepare_ops();
+    let o = explore_model(&model, &workload, &hw, &opts, &cache);
+    assert_eq!(o.evaluated, 169);
+    assert_eq!(telemetry::prepare_ops(), 31_424);
+}
+
+#[test]
 fn scale_dataset_explore_is_thread_and_prune_invariant() {
     // ISSUE 10: the summary-driven walk makes a full 6,656-pattern sweep over
     // a 65k-vertex R-MAT graph test-sized — and the result must be bit-equal

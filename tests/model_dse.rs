@@ -105,7 +105,8 @@ fn gat_joint_winner_beats_every_uniform_preset_and_is_thread_invariant() {
         };
         let chain = to_chain(&model, &workload, &dfs, &[Link::Sequential], &hw)
             .expect("uniform GAT chain lowers");
-        let r = evaluate_chain(&chain, &hw).expect("uniform GAT chain evaluates");
+        let r = evaluate_chain(&chain, &workload.degrees, &hw)
+            .expect("uniform GAT chain evaluates");
         evaluated_presets += 1;
         assert!(
             best.report.total_cycles <= r.total_cycles,
