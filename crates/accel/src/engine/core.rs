@@ -33,6 +33,7 @@
 //!    lines) is the template.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use super::{ChunkSide, ChunkSpec, EngineOptions, GemmDims, OperandClasses};
@@ -518,6 +519,80 @@ pub(crate) fn walk_class_replays<E: PhaseEngine>(
 // leaves so `PreparedEval` plans every phase kind uniformly.
 // ---------------------------------------------------------------------------
 
+/// A multiply-rotate hasher (the Fx hash) for the degree-keyed maps of the
+/// prepare path: their keys are small integers or short integer slices
+/// hashed once per row or tile, where SipHash's per-call setup dominates.
+/// `write` folds 8 bytes per step. The degrees can come from a `mapperd`
+/// request, so two defences stand in for SipHash's: `finish` rotates the
+/// well-mixed high product bits down into the low bits the table indexes
+/// by (a bare product leaves them a function of the key's low bits alone,
+/// so every tile starting with the same degree would share one bucket),
+/// and each map starts from a random seed ([`FxSeed`]), so which keys
+/// collide cannot be worked out ahead of the request.
+struct FxHasher(u64);
+
+impl FxHasher {
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Builds the [`FxHasher`]s of one map from a seed drawn from std's random
+/// per-map hash keys.
+#[derive(Debug, Clone, Copy)]
+struct FxSeed(u64);
+
+impl Default for FxSeed {
+    fn default() -> Self {
+        FxSeed(RandomState::new().hash_one(()))
+    }
+}
+
+impl BuildHasher for FxSeed {
+    type Hasher = FxHasher;
+
+    fn build_hasher(&self) -> FxHasher {
+        FxHasher(self.0)
+    }
+}
+
+/// A `HashMap` hashed with [`FxHasher`].
+type FxHashMap<K, V> = HashMap<K, V, FxSeed>;
+
 /// Degree summary supporting O(log classes) "edges active in neighbour slice
 /// `[lo, hi)`" queries: `Σ_v min(deg_v, hi) − min(deg_v, lo)`. Shared by the
 /// SpMM and SDDMM leaves, whose neighbour-slice walks are the same shape.
@@ -538,7 +613,7 @@ pub(crate) struct DegreeSummary {
 
 impl DegreeSummary {
     pub(crate) fn new(degrees: impl Iterator<Item = usize>) -> Self {
-        let mut counts: HashMap<u32, u64> = HashMap::new();
+        let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
         let mut n = 0u64;
         for d in degrees {
             *counts.entry(d as u32).or_insert(0) += 1;
@@ -682,7 +757,7 @@ pub(crate) fn split_ends(first: usize, len: usize, n_red: usize) -> impl Iterato
 /// these classes instead of every vertex. O(V + classes·log classes).
 fn degree_classes(degrees: &[usize]) -> Vec<(usize, u64)> {
     crate::telemetry::count_prepare(degrees.len() as u64);
-    let mut counts: HashMap<usize, u64> = HashMap::new();
+    let mut counts: FxHashMap<usize, u64> = FxHashMap::default();
     for &d in degrees {
         *counts.entry(d).or_insert(0) += 1;
     }
@@ -747,38 +822,40 @@ pub(crate) struct WorkloadSummary {
 }
 
 impl WorkloadSummary {
+    /// Maps every `tv`-row tile of `degrees` to its class. One key buffer is
+    /// refilled and sorted in place per tile and looked up as a slice, so
+    /// only a tile whose class is new allocates.
     pub(crate) fn new(degrees: &[usize], tv: usize) -> Self {
         let tv = tv.max(1);
         let v = degrees.len();
         let n_v = v.div_ceil(tv);
         crate::telemetry::count_prepare(v as u64);
         let mut classes: Vec<TileClass> = Vec::new();
-        let mut index: HashMap<Box<[u32]>, u32> = HashMap::new();
+        let mut index: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
         let mut tile_class = Vec::with_capacity(n_v);
-        for iv in 0..n_v {
-            let lo = iv * tv;
-            let hi = ((iv + 1) * tv).min(v);
-            let mut key: Vec<u32> = degrees[lo..hi].iter().map(|&d| d as u32).collect();
+        let mut key: Vec<u32> = Vec::with_capacity(tv.min(v));
+        for lo in (0..v).step_by(tv) {
+            let hi = (lo + tv).min(v);
+            key.clear();
+            key.extend(degrees[lo..hi].iter().map(|&d| d as u32));
             key.sort_unstable();
-            let key: Box<[u32]> = key.into_boxed_slice();
-            let id = match index.get(&key) {
+            let id = match index.get(key.as_slice()) {
                 Some(&id) => {
                     classes[id as usize].mult += 1;
                     id
                 }
                 None => {
                     let id = classes.len() as u32;
-                    let sum = key.iter().map(|&d| d as u64).sum();
-                    let max = key.last().map_or(0, |&d| d as usize);
+                    let owned: Box<[u32]> = key.as_slice().into();
                     classes.push(TileClass {
-                        sum,
-                        max,
+                        sum: key.iter().map(|&d| d as u64).sum(),
+                        max: key.last().map_or(0, |&d| d as usize),
                         rows: (hi - lo) as u64,
                         mult: 1,
-                        degrees: key.clone(),
+                        degrees: owned.clone(),
                         summary: OnceLock::new(),
                     });
-                    index.insert(key, id);
+                    index.insert(owned, id);
                     id
                 }
             };
@@ -875,8 +952,27 @@ impl<'a> PreparedSpmm<'a> {
         self.classes.get_or_init(|| degree_classes(self.degrees))
     }
 
+    /// Degree sum, tile-synchronized step count (`ceil(max / tn)`) and rows
+    /// of vertex tile `iv` of height `tv`, scanned from the degrees and
+    /// counted as preparation work — what the reference walks and the
+    /// chunked VFN/FVN walks read per tile instead of a tile class.
+    pub(crate) fn tile_scan(&self, tv: usize, tn: usize, iv: usize) -> (u64, u64, u64) {
+        let lo = iv * tv;
+        let hi = (lo + tv).min(self.degrees.len());
+        crate::telemetry::count_prepare((hi - lo) as u64);
+        let mut sum = 0u64;
+        let mut mx = 0usize;
+        for &d in &self.degrees[lo..hi] {
+            sum += d as u64;
+            mx = mx.max(d);
+        }
+        (sum, (mx as u64).div_ceil(tn as u64), (hi - lo) as u64)
+    }
+
+    /// The whole graph's degree summary, built from [`Self::classes`] so the
+    /// degrees are counted once for both.
     pub(crate) fn global(&self) -> &DegreeSummary {
-        self.global.get_or_init(|| DegreeSummary::new(self.degrees.iter().copied()))
+        self.global.get_or_init(|| DegreeSummary::from_classes(self.classes().iter().copied()))
     }
 
     /// The tile summary for vertex-tile height `tv`, built on first use and
@@ -1200,6 +1296,94 @@ mod tests {
                         assert!(l == 1 || (a > 0 && a + l < n_red), "{first}+{len} of {n_red}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Two-row tile keys `[0, b]` differ only above the low 32 bits of the
+    /// one word they hash to. A bare multiply maps all of them to the same
+    /// low bits, i.e. one bucket, which makes summarising a 2^20-row vector
+    /// of such tiles quadratic. The final rotation must spread them over a
+    /// good share of the buckets (random keys would fill ~63% of 4,096),
+    /// whatever the seed.
+    #[test]
+    fn fx_hash_spreads_keys_that_share_their_low_bits() {
+        for seed in [FxSeed(0), FxSeed(u64::MAX), FxSeed::default()] {
+            let buckets: std::collections::HashSet<u64> =
+                (0..4096u32).map(|b| seed.hash_one([0u32, b].as_slice()) & 4095).collect();
+            assert!(buckets.len() > 1024, "{seed:?}: {} buckets", buckets.len());
+        }
+    }
+
+    /// Checks [`WorkloadSummary::new`] against a plain build (std `HashMap`
+    /// over each tile's sorted degrees, classes in first-occurrence order),
+    /// and [`PreparedSpmm::global`] against a summary counted from the raw
+    /// degrees.
+    fn check_summary(degrees: &[usize], tv: usize) -> Result<(), TestCaseError> {
+        let mut index: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut want_classes: Vec<(Vec<u32>, u64, usize, u64, u64)> = Vec::new();
+        let mut want_tiles = Vec::new();
+        for tile in degrees.chunks(tv) {
+            let mut key: Vec<u32> = tile.iter().map(|&d| d as u32).collect();
+            key.sort_unstable();
+            let id = *index.entry(key.clone()).or_insert_with(|| {
+                let sum = key.iter().map(|&d| d as u64).sum();
+                let max = key.last().map_or(0, |&d| d as usize);
+                want_classes.push((key, sum, max, tile.len() as u64, 0));
+                want_classes.len() as u32 - 1
+            });
+            want_classes[id as usize].4 += 1;
+            want_tiles.push(id);
+        }
+        let got = WorkloadSummary::new(degrees, tv);
+        prop_assert_eq!(&got.tile_class, &want_tiles);
+        let got_classes: Vec<(Vec<u32>, u64, usize, u64, u64)> = got
+            .classes()
+            .iter()
+            .map(|c| (c.degrees.to_vec(), c.sum, c.max, c.rows, c.mult))
+            .collect();
+        prop_assert_eq!(got_classes, want_classes);
+        let prep = PreparedSpmm::new(degrees);
+        let (global, raw) = (prep.global(), DegreeSummary::new(degrees.iter().copied()));
+        prop_assert_eq!(
+            (&global.degs, &global.rows, &global.edges),
+            (&raw.degs, &raw.rows, &raw.edges)
+        );
+        Ok(())
+    }
+
+    /// The tile heights every summary check runs at: single rows, small
+    /// and power-of-two tiles, and one taller than the whole graph.
+    fn summary_heights(v: usize) -> [usize; 7] {
+        [1, 2, 3, 7, 8, 64, v + 1]
+    }
+
+    proptest! {
+        #[test]
+        fn workload_summary_matches_a_plain_build(
+            degrees in proptest::collection::vec(0usize..6, 0..200),
+            wide in proptest::collection::vec(0usize..5000, 0..40),
+        ) {
+            for tv in summary_heights(degrees.len()) {
+                check_summary(&degrees, tv)?;
+            }
+            for tv in summary_heights(wide.len()) {
+                check_summary(&wide, tv)?;
+            }
+        }
+    }
+
+    #[test]
+    fn workload_summary_matches_a_plain_build_on_adversarial_vectors() {
+        let mut star = vec![2usize; 64];
+        star[0] = 64;
+        let holes: Vec<usize> = (0..80).map(|i| if i % 3 == 0 { 0 } else { 5 + i % 7 }).collect();
+        let mut lone_hub = vec![0usize; 97];
+        lone_hub[41] = 500;
+        let multiples: Vec<usize> = (0..64).map(|i| 4 * (i % 9)).collect();
+        for degrees in [star, holes, lone_hub, multiples, vec![7], Vec::new()] {
+            for tv in summary_heights(degrees.len()) {
+                check_summary(&degrees, tv).unwrap();
             }
         }
     }

@@ -185,8 +185,10 @@ impl PhaseEngine for GemmLeaf<'_> {
         // multiplicity. With chunk timestamps requested the outer loop must
         // still walk pass order, so only the inner loop is batched (the
         // timeline within a batch is reconstructed exactly by
-        // `ChunkTracker::advance_repeat`).
-        let i0_classes: Vec<(usize, u64)> = if w.has_chunks() {
+        // `ChunkTracker::advance_repeat`) — unless the middle loop has one
+        // tile: then each outer iteration is a single pass, and the outer
+        // classes are runs of consecutive identical passes.
+        let i0_classes: Vec<(usize, u64)> = if w.has_chunks() && n1 > 1 {
             (0..n0).map(|i| (i, 1)).collect()
         } else {
             loop_classes(n0)

@@ -322,23 +322,6 @@ impl<'a> SddmmLeaf<'a> {
             self.streaming_pass(w, r.active, rows, first == 0, m * len as u64);
         }
     }
-
-    /// Degree sum, tile-synchronized step count, and rows of one vertex tile —
-    /// the reference walk's per-tile scan (the summary walk reads the same
-    /// facts from the tile's class in O(1)).
-    fn tile_scan(&self, iv: usize) -> (u64, u64, u64) {
-        let s = self.shape;
-        let lo = iv * s.tv;
-        let hi = ((iv + 1) * s.tv).min(s.v);
-        crate::telemetry::count_prepare((hi - lo) as u64);
-        let mut sum = 0u64;
-        let mut mx = 0usize;
-        for &deg in &self.prep.degrees()[lo..hi] {
-            sum += deg as u64;
-            mx = mx.max(deg);
-        }
-        (sum, (mx as u64).div_ceil(s.tn as u64), (hi - lo) as u64)
-    }
 }
 
 impl PhaseEngine for SddmmLeaf<'_> {
@@ -409,41 +392,36 @@ impl PhaseEngine for SddmmLeaf<'_> {
                 // VFN: per v-tile, F-slices in the middle, neighbours
                 // innermost. The F loop is batched per `loop_classes` — at a
                 // fixed v-tile its passes are consecutive in true iteration
-                // order, so the batching is chunk-exact; the summary walk
-                // additionally folds identical vertex tiles into their class.
-                if self.naive {
-                    for iv in 0..s.n_v {
-                        let (sum, steps, avv) = self.tile_scan(iv);
-                        for if_ in 0..s.n_f {
+                // order, so the batching is chunk-exact. Without chunk
+                // timestamps the summary walk also folds identical vertex
+                // tiles into their class; the chunked and reference walks
+                // scan each tile in order.
+                if !self.naive && !w.has_chunks() {
+                    let f_walk = loop_classes(s.n_f);
+                    for c in self.prep.summary(s.tv).classes() {
+                        w.class_replays += c.mult - 1;
+                        let steps = (c.max as u64).div_ceil(tn);
+                        for &(if_, mf) in &f_walk {
                             let af = actual_tile(s.d, s.tf, if_) as u64;
-                            for _ in 0..reps_h {
-                                self.scoring_pass(w, steps, sum, avv, af, if_ as u64, true, m_h);
-                            }
+                            self.scoring_pass(
+                                w, steps, c.sum, c.rows, af, if_ as u64, true,
+                                mf * s.h * c.mult,
+                            );
                         }
                     }
                 } else {
-                    let f_walk = loop_classes(s.n_f);
-                    let ws = self.prep.summary(s.tv);
-                    if !w.has_chunks() {
-                        for c in ws.classes() {
-                            w.class_replays += c.mult - 1;
-                            let steps = (c.max as u64).div_ceil(tn);
-                            for &(if_, mf) in &f_walk {
-                                let af = actual_tile(s.d, s.tf, if_) as u64;
-                                self.scoring_pass(
-                                    w, steps, c.sum, c.rows, af, if_ as u64, true,
-                                    mf * s.h * c.mult,
-                                );
-                            }
-                        }
+                    let f_walk: Vec<(usize, u64)> = if self.naive {
+                        (0..s.n_f).map(|if_| (if_, 1)).collect()
                     } else {
-                        for iv in 0..ws.num_tiles() {
-                            let c = ws.class_of(iv);
-                            let steps = (c.max as u64).div_ceil(tn);
-                            for &(if_, mf) in &f_walk {
-                                let af = actual_tile(s.d, s.tf, if_) as u64;
+                        loop_classes(s.n_f)
+                    };
+                    for iv in 0..s.n_v {
+                        let (sum, steps, avv) = self.prep.tile_scan(s.tv, s.tn, iv);
+                        for &(if_, mf) in &f_walk {
+                            let af = actual_tile(s.d, s.tf, if_) as u64;
+                            for _ in 0..reps_h {
                                 self.scoring_pass(
-                                    w, steps, c.sum, c.rows, af, if_ as u64, true, mf * s.h,
+                                    w, steps, sum, avv, af, if_ as u64, true, mf * m_h,
                                 );
                             }
                         }
@@ -455,40 +433,27 @@ impl PhaseEngine for SddmmLeaf<'_> {
                 // innermost — the same passes as VFN in f-major order. Batching
                 // the middle F-class would lump passes that interleave with
                 // other v-tiles in true order, so with chunk timestamps the F
-                // loop walks per index.
-                if self.naive {
-                    for if_ in 0..s.n_f {
+                // loop walks per index, scanning each tile in order.
+                if !self.naive && !w.has_chunks() {
+                    let ws = self.prep.summary(s.tv);
+                    for &(if_, mf) in &loop_classes(s.n_f) {
                         let af = actual_tile(s.d, s.tf, if_) as u64;
-                        for iv in 0..s.n_v {
-                            let (sum, steps, avv) = self.tile_scan(iv);
-                            for _ in 0..reps_h {
-                                self.scoring_pass(w, steps, sum, avv, af, if_ as u64, true, m_h);
-                            }
+                        for c in ws.classes() {
+                            w.class_replays += c.mult - 1;
+                            let steps = (c.max as u64).div_ceil(tn);
+                            self.scoring_pass(
+                                w, steps, c.sum, c.rows, af, if_ as u64, true,
+                                mf * s.h * c.mult,
+                            );
                         }
                     }
                 } else {
-                    let ws = self.prep.summary(s.tv);
-                    if !w.has_chunks() {
-                        for &(if_, mf) in &loop_classes(s.n_f) {
-                            let af = actual_tile(s.d, s.tf, if_) as u64;
-                            for c in ws.classes() {
-                                w.class_replays += c.mult - 1;
-                                let steps = (c.max as u64).div_ceil(tn);
-                                self.scoring_pass(
-                                    w, steps, c.sum, c.rows, af, if_ as u64, true,
-                                    mf * s.h * c.mult,
-                                );
-                            }
-                        }
-                    } else {
-                        for if_ in 0..s.n_f {
-                            let af = actual_tile(s.d, s.tf, if_) as u64;
-                            for iv in 0..ws.num_tiles() {
-                                let c = ws.class_of(iv);
-                                let steps = (c.max as u64).div_ceil(tn);
-                                self.scoring_pass(
-                                    w, steps, c.sum, c.rows, af, if_ as u64, true, s.h,
-                                );
+                    for if_ in 0..s.n_f {
+                        let af = actual_tile(s.d, s.tf, if_) as u64;
+                        for iv in 0..s.n_v {
+                            let (sum, steps, avv) = self.prep.tile_scan(s.tv, s.tn, iv);
+                            for _ in 0..reps_h {
+                                self.scoring_pass(w, steps, sum, avv, af, if_ as u64, true, m_h);
                             }
                         }
                     }

@@ -466,17 +466,7 @@ impl SpmmLeaf<'_> {
             (0, 2) | (1, 2) => {
                 // VFN / FVN: per (v-tile × f-tile) pass; reduction innermost.
                 for iv in 0..n_v {
-                    let lo = iv * tv;
-                    let hi = ((iv + 1) * tv).min(v);
-                    crate::telemetry::count_prepare((hi - lo) as u64);
-                    let mut sum = 0u64;
-                    let mut mx = 0usize;
-                    for &d in &degrees[lo..hi] {
-                        sum += d as u64;
-                        mx = mx.max(d);
-                    }
-                    let avv = (hi - lo) as u64;
-                    let steps = (mx as u64).div_ceil(tn as u64);
+                    let (sum, steps, avv) = self.prep.tile_scan(tv, tn, iv);
                     for if_ in 0..n_f {
                         let af = actual_tile(f, tf, if_) as u64;
                         self.reduction_innermost_pass(w, steps, sum, avv, af, 1);
@@ -615,9 +605,9 @@ impl SpmmLeaf<'_> {
     /// simulation. Unchunked runs iterate [`TileClass`]es with the class
     /// multiplicity folded into the pass (`ChunkTracker::advance_repeat`
     /// semantics make the batching exact); chunked runs iterate tiles in true
-    /// order but read each tile's `(sum, max, rows)` and slice summary from
-    /// its class in O(1), so a tile row-block's timeline is computed once per
-    /// (class, tile-shape) pair and replayed. Within a tile, neighbour slices
+    /// order — VFN/FVN scanning each tile's `(sum, max, rows)` straight from
+    /// the degrees, VNF/NVF reading its slice summary from its class in
+    /// O(1). Within a tile, neighbour slices
     /// fold into runs of identical slices (`DegreeSummary::slice_runs`), so a
     /// class costs O(its distinct degrees) passes, not O(max / T_N); only
     /// chunked NVF and chunked NFV, whose slices interleave other tiles in
@@ -632,9 +622,11 @@ impl SpmmLeaf<'_> {
         match (self.pos_v, self.pos_n) {
             (0, 2) | (1, 2) => {
                 // VFN / FVN: only (sum, max, rows) of each tile matter.
-                let s = self.prep.summary(tv);
+                // Chunk timestamps pin the tile order, so the chunked walk
+                // scans each tile's degrees in place rather than building
+                // the class summary it would only read those three from.
                 if !w.has_chunks() {
-                    for c in s.classes() {
+                    for c in self.prep.summary(tv).classes() {
                         w.class_replays += c.mult - 1;
                         let steps = (c.max as u64).div_ceil(tn as u64);
                         for &(af, m) in &f_classes {
@@ -642,11 +634,10 @@ impl SpmmLeaf<'_> {
                         }
                     }
                 } else {
-                    for iv in 0..s.num_tiles() {
-                        let c = s.class_of(iv);
-                        let steps = (c.max as u64).div_ceil(tn as u64);
+                    for iv in 0..self.n_v {
+                        let (sum, steps, rows) = self.prep.tile_scan(tv, tn, iv);
                         for &(af, m) in &f_classes {
-                            self.reduction_innermost_pass(w, steps, c.sum, c.rows, af, m);
+                            self.reduction_innermost_pass(w, steps, sum, rows, af, m);
                         }
                     }
                 }

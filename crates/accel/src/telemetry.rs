@@ -6,10 +6,12 @@
 //! * [`prepare_ops`] — a **thread-local** count of degree elements visited
 //!   while building prepared-workload structures (`PreparedSpmm`,
 //!   `WorkloadSummary`, `DegreeSummary`, degree classes) *and* while scanning
-//!   tiles inside a reference walk. Thread-local so a test can assert "the
-//!   second simulation of the same workload built nothing" without
-//!   interference from parallel tests; reset it with [`reset_prepare_ops`]
-//!   before the section under measurement.
+//!   tiles inside a reference walk or a chunked VFN/FVN walk (which reads
+//!   each tile's degrees in place instead of building a summary).
+//!   Thread-local so a test can assert "the second unchunked simulation of
+//!   the same workload built nothing" without interference from parallel
+//!   tests; reset it with [`reset_prepare_ops`] before the section under
+//!   measurement.
 //! * [`class_replays`] — a **process-wide monotone** count of tile passes that
 //!   were *replayed* from a batched degree/tile class instead of being walked
 //!   (a class covering `m` identical tiles costs one timeline computation and
@@ -28,8 +30,9 @@ thread_local! {
 
 static CLASS_REPLAYS: AtomicU64 = AtomicU64::new(0);
 
-/// Degree elements visited by prepared-structure builds and reference-walk
-/// tile scans on *this thread* since the last [`reset_prepare_ops`].
+/// Degree elements visited by prepared-structure builds and by the tile
+/// scans of reference and chunked walks on *this thread* since the last
+/// [`reset_prepare_ops`].
 pub fn prepare_ops() -> u64 {
     PREPARE_OPS.with(|c| c.get())
 }

@@ -270,3 +270,59 @@ fn proteins_engines_match_prerefactor_goldens() {
     check("Proteins", "spmm", spmm_hash(&wl, &cfg, false));
     check("Proteins", "sddmm", sddmm_hash(&wl, &cfg, false));
 }
+
+/// Tilings whose middle loop has a single tile on Mutag and Proteins
+/// (`F` = 28/29, `G` = 16): the G tile covers G under VGF/FGV, the F tile
+/// covers F under VFG/GFV. Each order keeps a remainder outer tile (5 or 7
+/// rows, or a 3-wide F tile) next to the one-row PP-consumer shape.
+const SINGLE_MIDDLE_TILINGS: [(&str, [usize; 3]); 8] = [
+    ("VGF", [1, 16, 16]),
+    ("VGF", [5, 16, 4]),
+    ("VGF", [7, 32, 3]),
+    ("VFG", [1, 32, 16]),
+    ("VFG", [5, 32, 3]),
+    ("VFG", [7, 64, 4]),
+    ("FGV", [3, 16, 8]),
+    ("GFV", [4, 32, 5]),
+];
+
+fn single_middle_gemm_hash(wl: &Workload, cfg: &AccelConfig) -> u64 {
+    let mut h = Fnv::new();
+    let dims = GemmDims { v: wl.v, f: wl.f, g: wl.g };
+    let mut options = options_with(cfg, false);
+    for (side, pel) in [(ChunkSide::Produce, 7), (ChunkSide::Consume, 33)] {
+        let mut o = EngineOptions::plain(cfg.full_bandwidth());
+        o.chunk = Some(ChunkSpec { side, pel });
+        options.push(o);
+        o.bandwidth = BandwidthShare { dist: 48, red: 48 };
+        options.push(o);
+    }
+    for (order, tiles) in SINGLE_MIDDLE_TILINGS {
+        let t = tiling(Phase::Combination, order, tiles);
+        for opts in &options {
+            for classes in [OperandClasses::combination_ac(), OperandClasses::combination_ca()] {
+                h.stats(&simulate_gemm(dims, &t, cfg, &classes, opts));
+            }
+        }
+    }
+    h.0
+}
+
+/// Golden hashes of [`single_middle_gemm_hash`] on Mutag and Proteins,
+/// recorded from the engine that walked every outer tile of a chunked run
+/// one at a time.
+const SINGLE_MIDDLE_GOLDEN: [u64; 2] = [0x931a_c3e6_5219_3cc5, 0x532e_b8f7_f34f_4039];
+
+/// Chunked GEMM walks whose middle loop has one tile: no `TILINGS` entry
+/// reaches that shape, so it has goldens of its own.
+#[test]
+fn single_middle_tile_chunked_gemm_matches_goldens() {
+    let cfg = AccelConfig::paper_default();
+    let mut got = Vec::new();
+    for spec in [DatasetSpec::mutag(), DatasetSpec::proteins()] {
+        let wl = dataset(spec);
+        assert!(wl.f <= 32 && wl.g <= 16, "the tilings above assume F ≤ 32, G ≤ 16");
+        got.push(single_middle_gemm_hash(&wl, &cfg));
+    }
+    assert_eq!(got, SINGLE_MIDDLE_GOLDEN, "actual {got:x?}");
+}

@@ -2252,6 +2252,160 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A saved two-entry cache file, built once for the mutation property.
+    fn saved_cache_file() -> &'static str {
+        static SAVED: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        SAVED.get_or_init(|| {
+            let cfg = AccelConfig::paper_default();
+            let cache = DseCache::new();
+            let dataset = DatasetSpec::mutag().generate(4);
+            let opts = DseOptions { top_k: 2, ..quick_opts() };
+            for hidden in [8, 16] {
+                cache.explore(&GnnWorkload::gcn_layer(&dataset, hidden), &cfg, &opts);
+            }
+            let path = std::env::temp_dir()
+                .join(format!("omega-dse-cache-mut-src-{}.json", std::process::id()));
+            cache.save(&path).expect("save");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            text
+        })
+    }
+
+    /// One mutation of a saved cache file.
+    #[derive(Debug, Clone, Copy)]
+    enum Mutation {
+        /// XOR the byte at `at` with a non-zero mask.
+        Flip { at: usize, mask: u8 },
+        /// Keep only the first `len` bytes.
+        Truncate { len: usize },
+        /// Insert `byte` before position `at`.
+        Insert { at: usize, byte: u8 },
+        /// Delete the footer line after changing the `nth` payload digit to
+        /// `to`: a corrupted payload that lost the footer which would have
+        /// caught it.
+        DropFooter { nth: usize, to: u8 },
+        /// Add `delta` to the footer's `bytes` (`field == 0`) or `crc64`.
+        FooterField { field: u8, delta: u64 },
+    }
+
+    fn mutate(good: &str, m: Mutation) -> Vec<u8> {
+        let mut bytes = good.as_bytes().to_vec();
+        let (payload, footer) = good.trim_end().split_once('\n').expect("payload and footer");
+        match m {
+            Mutation::Flip { at, mask } => bytes[at] ^= mask,
+            Mutation::Truncate { len } => bytes.truncate(len),
+            Mutation::Insert { at, byte } => bytes.insert(at, byte),
+            Mutation::DropFooter { nth, to } => {
+                let mut body = payload.as_bytes().to_vec();
+                let digits: Vec<usize> = (0..body.len()).filter(|&i| body[i].is_ascii_digit()).collect();
+                let at = digits[nth % digits.len()];
+                let to = b'0' + to % 10;
+                body[at] = if body[at] == to { b'0' + (to - b'0' + 1) % 10 } else { to };
+                body.push(b'\n');
+                bytes = body;
+            }
+            Mutation::FooterField { field, delta } => {
+                let mut f: PersistedFooter = serde_json::from_str(footer).unwrap();
+                if field == 0 {
+                    f.bytes = f.bytes.wrapping_add(delta);
+                } else {
+                    f.crc64 = f.crc64.wrapping_add(delta);
+                }
+                let f = serde_json::to_string(&f).unwrap();
+                bytes = format!("{payload}\n{f}\n").into_bytes();
+            }
+        }
+        bytes
+    }
+
+    /// Writes `mutated` to a fresh path and loads it the serving way: the
+    /// load must not panic, and must either restore exactly the saved
+    /// entries (re-saving reproduces `good` byte for byte) or quarantine the
+    /// file.
+    fn check_mutated_load(good: &str, mutated: &[u8], what: &str) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("omega-dse-cache-mut-{}-{case}.json", std::process::id()));
+        let quarantine = path.with_extension("quarantined");
+        std::fs::write(&path, mutated).unwrap();
+        let cache = DseCache::new();
+        let report = catch_unwind(AssertUnwindSafe(|| cache.load_or_quarantine(&path)))
+            .unwrap_or_else(|_| panic!("{what}: loading panicked"))
+            .unwrap_or_else(|e| panic!("{what}: I/O error {e}"));
+        match report.quarantined {
+            Some(q) => {
+                assert_eq!(q, quarantine, "{what}");
+                assert_eq!(report.loaded, 0, "{what}");
+                assert!(cache.is_empty() && !path.exists(), "{what}");
+                assert_eq!(std::fs::read(&quarantine).unwrap(), mutated, "{what}");
+            }
+            None => {
+                assert_eq!(report.loaded, 2, "{what}: loaded a different entry count");
+                cache.save(&path).unwrap();
+                let resaved = std::fs::read_to_string(&path).unwrap();
+                assert!(resaved == good, "{what}: loaded entries differ from the saved ones");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&quarantine);
+    }
+
+    /// Every edit of the footer line (and of the line break before it) and
+    /// every way of cutting it off: each flip, truncation and insertion
+    /// there, one by one.
+    #[test]
+    fn footer_edits_load_identically_or_are_quarantined() {
+        let good = saved_cache_file();
+        let footer_start = good.trim_end().rfind('\n').unwrap();
+        for at in footer_start..good.len() {
+            for mask in [0x01, 0x20, 0x80] {
+                let m = Mutation::Flip { at, mask };
+                check_mutated_load(good, &mutate(good, m), &format!("{m:?}"));
+            }
+            for byte in [b' ', b'\n', b'0', b'}'] {
+                let m = Mutation::Insert { at, byte };
+                check_mutated_load(good, &mutate(good, m), &format!("{m:?}"));
+            }
+            let m = Mutation::Truncate { len: at };
+            check_mutated_load(good, &mutate(good, m), &format!("{m:?}"));
+        }
+        for m in [
+            Mutation::DropFooter { nth: 10, to: 1 },
+            Mutation::FooterField { field: 0, delta: 1 },
+            Mutation::FooterField { field: 1, delta: 1 },
+        ] {
+            check_mutated_load(good, &mutate(good, m), &format!("{m:?}"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
+
+        /// Any single byte flip, truncation, insertion or footer edit of a
+        /// saved multi-entry cache file loads the saved entries bit for bit
+        /// or is quarantined, and never panics.
+        #[test]
+        fn mutated_cache_files_load_identically_or_are_quarantined(
+            kind in 0u8..5,
+            pos in 0usize..1 << 24,
+            byte in 0u8..=255,
+            delta in 1u64..1 << 40,
+        ) {
+            let good = saved_cache_file();
+            let len = good.len();
+            let m = match kind {
+                0 => Mutation::Flip { at: pos % len, mask: byte.max(1) },
+                1 => Mutation::Truncate { len: pos % len },
+                2 => Mutation::Insert { at: pos % (len + 1), byte },
+                3 => Mutation::DropFooter { nth: pos, to: byte },
+                _ => Mutation::FooterField { field: byte % 2, delta },
+            };
+            check_mutated_load(good, &mutate(good, m), &format!("{m:?}"));
+        }
+    }
+
     #[test]
     fn warm_hint_returns_nearest_cached_shape() {
         let cfg = AccelConfig::paper_default();

@@ -416,7 +416,9 @@ fn model_search_prepares_its_graph_once() {
 
     // The joint GAT-2 Pareto search on Cora with its layer searches already
     // cached: every one of its 169 chain evaluations walks one shared
-    // preparation of the graph. `prepare_ops` is thread-local, so the pin
+    // preparation of the graph. The count also covers the chunked (PP)
+    // VFN/FVN walks, which scan their tiles' degrees in place instead of
+    // building a class summary. `prepare_ops` is thread-local, so the pin
     // holds only at one thread, where every chain runs on this one.
     let workload = GnnWorkload::gcn_layer(&DatasetSpec::cora().generate(CLI_SEED), CLI_HIDDEN);
     let (model, hw) = (GnnModel::gat_2layer(8, 7), AccelConfig::paper_default());
@@ -427,7 +429,28 @@ fn model_search_prepares_its_graph_once() {
     telemetry::reset_prepare_ops();
     let o = explore_model(&model, &workload, &hw, &opts, &cache);
     assert_eq!(o.evaluated, 169);
-    assert_eq!(telemetry::prepare_ops(), 31_424);
+    assert_eq!(telemetry::prepare_ops(), 345_552);
+}
+
+#[test]
+fn preset_pass_preparation_is_pinned() {
+    use omega_gnn::accel::telemetry;
+
+    // The preset-gap pass: the 12 Table V and CA-variant presets, each
+    // evaluated cold (a fresh `PreparedEval` per call), on rmat-14. The
+    // count covers every degree element the preparations and the chunked
+    // tile scans visit; `prepare_ops` is thread-local and `evaluate` runs
+    // on the caller, so the pin is exact.
+    let graph = omega_gnn::graph::scale_graph("rmat-14", 1).expect("rmat-14 resolves");
+    let workload = GnnWorkload::from_graph(&graph, CLI_HIDDEN);
+    let hw = AccelConfig::paper_default();
+    telemetry::reset_prepare_ops();
+    let presets = mapper::extended_candidates(&workload, &hw);
+    for dataflow in &presets {
+        evaluate(&workload, dataflow, &hw).expect("every preset evaluates");
+    }
+    assert_eq!((presets.len(), graph.num_vertices()), (12, 1 << 14));
+    assert_eq!(telemetry::prepare_ops(), 393_216);
 }
 
 #[test]
