@@ -561,6 +561,11 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
     fn write_usize(&mut self, n: usize) {
         self.add(n as u64);
     }
@@ -773,8 +778,6 @@ fn degree_classes(degrees: &[usize]) -> Vec<(usize, u64)> {
 /// keeps even the chunk marks exact).
 #[derive(Debug)]
 pub(crate) struct TileClass {
-    /// Σ degrees of one tile in the class (edge visits).
-    pub(crate) sum: u64,
     /// Max degree of one tile (tile-synchronized step count keys off this).
     pub(crate) max: usize,
     /// Rows in one tile (`tv`, or the remainder for the last tile).
@@ -807,12 +810,14 @@ impl TileClass {
     }
 }
 
-/// The per-(workload, `T_V`) tile summary driving the O(degree classes +
-/// tile boundaries) walks: every vertex tile mapped to its [`TileClass`],
-/// with boundary (remainder) tiles falling out naturally as their own class.
-/// Built once per tile height in [`PreparedSpmm::summary`] and shared across
-/// every simulation of that workload — loop order, `T_F`/`T_N`, chunking,
-/// residency, and capacity budgets all reuse the same structure.
+/// The per-(workload, `T_V`) tile summary driving the VNF/NVF walks, which
+/// cut the neighbour dimension mid-nest and so read every tile's degree
+/// multiset: every vertex tile mapped to its [`TileClass`], with boundary
+/// (remainder) tiles falling out naturally as their own class. Built once
+/// per tile height in [`PreparedSpmm::summary`] and shared across every
+/// simulation of that workload — `T_F`/`T_N`, chunking, residency, and
+/// capacity budgets all reuse the same structure. The VFN/FVN walks read
+/// the cheaper, unsorted [`TileStats`] instead.
 #[derive(Debug)]
 pub(crate) struct WorkloadSummary {
     /// Class id of each vertex tile, in tile order (the chunk-exact walks
@@ -848,7 +853,6 @@ impl WorkloadSummary {
                     let id = classes.len() as u32;
                     let owned: Box<[u32]> = key.as_slice().into();
                     classes.push(TileClass {
-                        sum: key.iter().map(|&d| d as u64).sum(),
                         max: key.last().map_or(0, |&d| d as usize),
                         rows: (hi - lo) as u64,
                         mult: 1,
@@ -864,7 +868,29 @@ impl WorkloadSummary {
         WorkloadSummary { tile_class, classes }
     }
 
-    /// The tile classes, in first-occurrence order.
+    /// The single-row summary (`tv = 1`) from the ascending degree
+    /// classes of `degrees`: one tile class per degree, and each row's class
+    /// looked up by its degree — no per-tile key to sort or hash.
+    fn from_degree_classes(degrees: &[usize], classes: &[(usize, u64)]) -> Self {
+        crate::telemetry::count_prepare(degrees.len() as u64);
+        let ids: FxHashMap<usize, u32> =
+            classes.iter().enumerate().map(|(id, &(d, _))| (d, id as u32)).collect();
+        let tile_class = degrees.iter().map(|d| ids[d]).collect();
+        let classes = classes
+            .iter()
+            .map(|&(d, mult)| TileClass {
+                max: d,
+                rows: 1,
+                mult,
+                degrees: Box::new([d as u32]),
+                summary: OnceLock::new(),
+            })
+            .collect();
+        WorkloadSummary { tile_class, classes }
+    }
+
+    /// The tile classes: first-occurrence order, or ascending degree for
+    /// single-row tiles.
     pub(crate) fn classes(&self) -> &[TileClass] {
         &self.classes
     }
@@ -886,17 +912,115 @@ impl WorkloadSummary {
     }
 }
 
-/// One tile height's summary, built at most once by whichever caller gets
-/// there first.
-type SummarySlot = Arc<OnceLock<Arc<WorkloadSummary>>>;
+/// The vertex tiles of one `T_V` that share a degree sum, a maximum degree
+/// and a row count — all an unchunked VFN/FVN walk reads of a tile, so every
+/// tile of a group costs the same passes.
+#[derive(Debug)]
+pub(crate) struct TileGroup {
+    /// Σ degrees of one tile (edge visits).
+    pub(crate) sum: u64,
+    /// Max degree of one tile (the tile-synchronized step count keys off it).
+    pub(crate) max: usize,
+    /// Rows in one tile (`tv`, or the remainder for the last tile).
+    pub(crate) rows: u64,
+    /// Tiles in the group.
+    pub(crate) mult: u64,
+}
+
+/// The order-free statistics of one tile height: the tiles grouped by
+/// `(sum, max, rows)` and the ascending histogram of tile maxima, from one
+/// unsorted O(V) scan. The groups drive the unchunked VFN/FVN walks of SpMM
+/// and SDDMM; the maxima give the tile-synchronization floor
+/// ([`Self::sync_steps`]) the DSE prunes with.
+#[derive(Debug)]
+pub(crate) struct TileStats {
+    /// The groups, in first-occurrence order.
+    groups: Vec<TileGroup>,
+    /// `(distinct tile maximum, tiles)`, ascending.
+    maxima: Vec<(usize, u64)>,
+}
+
+impl TileStats {
+    /// Groups every `tv`-row tile of `degrees` by its `(sum, max, rows)`.
+    fn new(degrees: &[usize], tv: usize) -> Self {
+        let tv = tv.max(1);
+        crate::telemetry::count_prepare(degrees.len() as u64);
+        let mut groups: Vec<TileGroup> = Vec::new();
+        let mut index: FxHashMap<(u64, usize, u64), u32> = FxHashMap::default();
+        for tile in degrees.chunks(tv) {
+            let (mut sum, mut max) = (0u64, 0usize);
+            for &d in tile {
+                sum += d as u64;
+                max = max.max(d);
+            }
+            let rows = tile.len() as u64;
+            let id = *index.entry((sum, max, rows)).or_insert_with(|| {
+                groups.push(TileGroup { sum, max, rows, mult: 0 });
+                groups.len() as u32 - 1
+            });
+            groups[id as usize].mult += 1;
+        }
+        let mut by_max: Vec<(usize, u64)> = groups.iter().map(|g| (g.max, g.mult)).collect();
+        by_max.sort_unstable_by_key(|&(max, _)| max);
+        let maxima = by_max
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, tiles)| tiles).sum()))
+            .collect();
+        TileStats { groups, maxima }
+    }
+
+    /// The single-row statistics (`tv = 1`) from the ascending degree
+    /// classes: each row is a tile whose sum and max are its degree.
+    fn from_degree_classes(classes: &[(usize, u64)]) -> Self {
+        let groups =
+            classes.iter().map(|&(d, mult)| TileGroup { sum: d as u64, max: d, rows: 1, mult });
+        TileStats { groups: groups.collect(), maxima: classes.to_vec() }
+    }
+
+    /// The tile groups.
+    pub(crate) fn groups(&self) -> &[TileGroup] {
+        &self.groups
+    }
+
+    /// `Σ_tiles max(1, ⌈max_t / tn⌉)`: the compute steps of one pass over
+    /// every tile when each pass advances at its tile's heaviest row.
+    /// O(distinct tile maxima).
+    fn sync_steps(&self, tn: usize) -> u64 {
+        let tn = tn.max(1);
+        self.maxima.iter().map(|&(max, tiles)| tiles * max.div_ceil(tn).max(1) as u64).sum()
+    }
+}
+
+/// Structures of one adjacency built per vertex-tile height, each at most
+/// once by whichever caller gets there first. The map only hands out each
+/// height's single-flight slot; the build runs outside the lock, so workers
+/// needing other heights never wait on it.
+#[derive(Debug)]
+struct PerHeight<T>(Mutex<HashMap<usize, Arc<OnceLock<Arc<T>>>>>);
+
+impl<T> PerHeight<T> {
+    fn new() -> Self {
+        PerHeight(Mutex::new(HashMap::new()))
+    }
+
+    /// Height `tv`'s structure, built with `build` on first use.
+    fn get(&self, tv: usize, build: impl FnOnce() -> T) -> Arc<T> {
+        let slot = {
+            let mut map = self.0.lock().unwrap_or_else(|e| e.into_inner());
+            map.entry(tv).or_default().clone()
+        };
+        slot.get_or_init(|| Arc::new(build())).clone()
+    }
+}
 
 /// Degree structures of one adjacency, hoisted out of the sparse leaves so a
 /// caller evaluating thousands of tilings of the *same* workload (the DSE hot
 /// path) pays the O(V log V) sorting once instead of per simulation.
 ///
 /// The totals (`nnz`, `max_degree`) are computed eagerly; the sorted degree
-/// classes and the global degree summary — needed only by some loop orders —
-/// are built lazily on first use and shared across threads.
+/// classes, the global degree summary and the per-`T_V` tile statistics and
+/// tile summaries — each needed only by some loop orders or by the DSE's
+/// cycle floor — are built lazily on first use and shared across threads.
 #[derive(Debug)]
 pub struct PreparedSpmm<'a> {
     degrees: &'a [usize],
@@ -904,12 +1028,13 @@ pub struct PreparedSpmm<'a> {
     max_degree: usize,
     classes: OnceLock<Vec<(usize, u64)>>,
     global: OnceLock<DegreeSummary>,
-    /// Per-`T_V` tile summaries, built once and shared across every
-    /// simulation of this workload (tile heights are few — the DSE's
-    /// power-of-two tile ladder yields ~log₂ V distinct values). The map
-    /// only hands out each height's single-flight slot; the build runs
-    /// outside the lock, so workers needing other heights never wait on it.
-    summaries: Mutex<HashMap<usize, SummarySlot>>,
+    /// Per-`T_V` tile statistics and tile summaries, built once and shared
+    /// across every simulation of this workload (tile heights are few — the
+    /// DSE's power-of-two tile ladder yields ~log₂ V distinct values).
+    tile_stats: PerHeight<TileStats>,
+    summaries: PerHeight<WorkloadSummary>,
+    /// [`Self::sync_steps`] per `(T_V, T_N)`, computed once each.
+    sync_steps: Mutex<FxHashMap<(usize, usize), u64>>,
 }
 
 impl<'a> PreparedSpmm<'a> {
@@ -929,7 +1054,9 @@ impl<'a> PreparedSpmm<'a> {
             max_degree,
             classes: OnceLock::new(),
             global: OnceLock::new(),
-            summaries: Mutex::new(HashMap::new()),
+            tile_stats: PerHeight::new(),
+            summaries: PerHeight::new(),
+            sync_steps: Mutex::default(),
         }
     }
 
@@ -975,15 +1102,39 @@ impl<'a> PreparedSpmm<'a> {
         self.global.get_or_init(|| DegreeSummary::from_classes(self.classes().iter().copied()))
     }
 
+    /// The tile statistics for vertex-tile height `tv`, built on first use
+    /// and cached like [`Self::summary`]; single-row tiles reuse
+    /// [`Self::classes`].
+    pub(crate) fn tile_stats(&self, tv: usize) -> Arc<TileStats> {
+        self.tile_stats.get(tv, || match tv {
+            1 => TileStats::from_degree_classes(self.classes()),
+            _ => TileStats::new(self.degrees, tv),
+        })
+    }
+
+    /// `Σ_tiles max(1, ⌈max_t / tn⌉)` over the `tv`-row tiles: the compute
+    /// steps of one pass over every tile when each pass advances at its
+    /// tile's heaviest row. O(distinct tile maxima) from
+    /// [`Self::tile_stats`] on first use per `(tv, tn)`, a lookup after.
+    pub(crate) fn sync_steps(&self, tv: usize, tn: usize) -> u64 {
+        let memo = || self.sync_steps.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(&steps) = memo().get(&(tv, tn)) {
+            return steps;
+        }
+        let steps = self.tile_stats(tv).sync_steps(tn);
+        memo().insert((tv, tn), steps);
+        steps
+    }
+
     /// The tile summary for vertex-tile height `tv`, built on first use and
     /// cached (thread-safe — DSE workers share one `PreparedSpmm`; callers
     /// racing on the same height wait for one build, the others run on).
+    /// Single-row tiles reuse [`Self::classes`].
     pub(crate) fn summary(&self, tv: usize) -> Arc<WorkloadSummary> {
-        let slot = {
-            let mut map = self.summaries.lock().unwrap_or_else(|e| e.into_inner());
-            map.entry(tv).or_default().clone()
-        };
-        slot.get_or_init(|| Arc::new(WorkloadSummary::new(self.degrees, tv))).clone()
+        self.summaries.get(tv, || match tv {
+            1 => WorkloadSummary::from_degree_classes(self.degrees, self.classes()),
+            _ => WorkloadSummary::new(self.degrees, tv),
+        })
     }
 }
 
@@ -1315,40 +1466,88 @@ mod tests {
         }
     }
 
+    /// A summary's content whatever order its classes are numbered in: each
+    /// tile's class key, and the classes `(key, max, rows, mult)` by key.
+    type Canonical = (Vec<Vec<u32>>, Vec<(Vec<u32>, usize, u64, u64)>);
+
+    fn canonical(s: &WorkloadSummary) -> Canonical {
+        let tiles = (0..s.num_tiles()).map(|iv| s.class_of(iv).degrees.to_vec()).collect();
+        let mut classes: Vec<_> =
+            s.classes().iter().map(|c| (c.degrees.to_vec(), c.max, c.rows, c.mult)).collect();
+        classes.sort();
+        (tiles, classes)
+    }
+
     /// Checks [`WorkloadSummary::new`] against a plain build (std `HashMap`
     /// over each tile's sorted degrees, classes in first-occurrence order),
-    /// and [`PreparedSpmm::global`] against a summary counted from the raw
+    /// [`PreparedSpmm::summary`] (which builds single-row tiles from the
+    /// degree classes) against the same content, and
+    /// [`PreparedSpmm::global`] against a summary counted from the raw
     /// degrees.
     fn check_summary(degrees: &[usize], tv: usize) -> Result<(), TestCaseError> {
         let mut index: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut want_classes: Vec<(Vec<u32>, u64, usize, u64, u64)> = Vec::new();
+        let mut want_classes: Vec<(Vec<u32>, usize, u64, u64)> = Vec::new();
         let mut want_tiles = Vec::new();
         for tile in degrees.chunks(tv) {
             let mut key: Vec<u32> = tile.iter().map(|&d| d as u32).collect();
             key.sort_unstable();
             let id = *index.entry(key.clone()).or_insert_with(|| {
-                let sum = key.iter().map(|&d| d as u64).sum();
                 let max = key.last().map_or(0, |&d| d as usize);
-                want_classes.push((key, sum, max, tile.len() as u64, 0));
+                want_classes.push((key, max, tile.len() as u64, 0));
                 want_classes.len() as u32 - 1
             });
-            want_classes[id as usize].4 += 1;
+            want_classes[id as usize].3 += 1;
             want_tiles.push(id);
         }
         let got = WorkloadSummary::new(degrees, tv);
         prop_assert_eq!(&got.tile_class, &want_tiles);
-        let got_classes: Vec<(Vec<u32>, u64, usize, u64, u64)> = got
+        let got_classes: Vec<(Vec<u32>, usize, u64, u64)> = got
             .classes()
             .iter()
-            .map(|c| (c.degrees.to_vec(), c.sum, c.max, c.rows, c.mult))
+            .map(|c| (c.degrees.to_vec(), c.max, c.rows, c.mult))
             .collect();
         prop_assert_eq!(got_classes, want_classes);
         let prep = PreparedSpmm::new(degrees);
+        let (prepared, plain) = (canonical(&prep.summary(tv)), canonical(&got));
+        prop_assert_eq!(prepared.1.len(), prep.summary(tv).classes().len(), "duplicate class");
+        prop_assert_eq!(prepared, plain);
         let (global, raw) = (prep.global(), DegreeSummary::new(degrees.iter().copied()));
         prop_assert_eq!(
             (&global.degs, &global.rows, &global.edges),
             (&raw.degs, &raw.rows, &raw.edges)
         );
+        Ok(())
+    }
+
+    /// Checks [`PreparedSpmm::tile_stats`] against a plain build: std
+    /// `HashMap`s grouping each tile's `(sum, max, rows)` and counting its
+    /// maximum, and [`TileStats::sync_steps`] against a sum over the tiles.
+    fn check_tile_stats(degrees: &[usize], tv: usize) -> Result<(), TestCaseError> {
+        let mut groups: HashMap<(u64, usize, u64), u64> = HashMap::new();
+        let mut maxima: HashMap<usize, u64> = HashMap::new();
+        let tile_max: Vec<usize> =
+            degrees.chunks(tv).map(|tile| tile.iter().copied().max().unwrap_or(0)).collect();
+        for (tile, &max) in degrees.chunks(tv).zip(&tile_max) {
+            let sum = tile.iter().map(|&d| d as u64).sum();
+            *groups.entry((sum, max, tile.len() as u64)).or_default() += 1;
+            *maxima.entry(max).or_default() += 1;
+        }
+        let mut want_groups: Vec<_> = groups.into_iter().collect();
+        want_groups.sort_unstable();
+        let mut want_maxima: Vec<_> = maxima.into_iter().collect();
+        want_maxima.sort_unstable();
+        let prep = PreparedSpmm::new(degrees);
+        let stats = prep.tile_stats(tv);
+        let mut got_groups: Vec<_> =
+            stats.groups().iter().map(|g| ((g.sum, g.max, g.rows), g.mult)).collect();
+        got_groups.sort_unstable();
+        prop_assert_eq!(got_groups, want_groups);
+        prop_assert_eq!(&stats.maxima, &want_maxima);
+        for tn in [1, 2, 3, 8, prep.max_degree().max(1)] {
+            let want: u64 = tile_max.iter().map(|&m| m.div_ceil(tn).max(1) as u64).sum();
+            prop_assert_eq!(prep.sync_steps(tv, tn), want, "tn = {}", tn);
+            prop_assert_eq!(prep.sync_steps(tv, tn), want, "memoised tn = {}", tn);
+        }
         Ok(())
     }
 
@@ -1371,19 +1570,48 @@ mod tests {
                 check_summary(&wide, tv)?;
             }
         }
+
+        #[test]
+        fn tile_stats_match_a_plain_build(
+            degrees in proptest::collection::vec(0usize..6, 0..200),
+            wide in proptest::collection::vec(0usize..5000, 0..40),
+        ) {
+            for tv in summary_heights(degrees.len()) {
+                check_tile_stats(&degrees, tv)?;
+            }
+            for tv in summary_heights(wide.len()) {
+                check_tile_stats(&wide, tv)?;
+            }
+        }
     }
 
-    #[test]
-    fn workload_summary_matches_a_plain_build_on_adversarial_vectors() {
+    /// `summary_identity`'s adversarial degree vectors: a star, zero-degree
+    /// holes, one hub among empty rows, multiples of a tile width, a lone
+    /// row and the empty graph.
+    fn adversarial_vectors() -> [Vec<usize>; 6] {
         let mut star = vec![2usize; 64];
         star[0] = 64;
         let holes: Vec<usize> = (0..80).map(|i| if i % 3 == 0 { 0 } else { 5 + i % 7 }).collect();
         let mut lone_hub = vec![0usize; 97];
         lone_hub[41] = 500;
         let multiples: Vec<usize> = (0..64).map(|i| 4 * (i % 9)).collect();
-        for degrees in [star, holes, lone_hub, multiples, vec![7], Vec::new()] {
+        [star, holes, lone_hub, multiples, vec![7], Vec::new()]
+    }
+
+    #[test]
+    fn workload_summary_matches_a_plain_build_on_adversarial_vectors() {
+        for degrees in adversarial_vectors() {
             for tv in summary_heights(degrees.len()) {
                 check_summary(&degrees, tv).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn tile_stats_match_a_plain_build_on_adversarial_vectors() {
+        for degrees in adversarial_vectors() {
+            for tv in summary_heights(degrees.len()) {
+                check_tile_stats(&degrees, tv).unwrap();
             }
         }
     }
@@ -1399,5 +1627,26 @@ mod tests {
         assert!(got.iter().all(|s| Arc::ptr_eq(s, &got[0])));
         assert!(Arc::ptr_eq(&prep.summary(16), &got[0]));
         assert!(!Arc::ptr_eq(&prep.summary(8), &got[0]));
+    }
+
+    #[test]
+    fn concurrent_tile_stats_requests_share_one_build() {
+        let degrees: Vec<usize> = (0..4096).map(|i| (i * 31) % 97).collect();
+        let prep = PreparedSpmm::new(&degrees);
+        let shared = &prep;
+        let got: Vec<(Arc<TileStats>, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    scope.spawn(move || (shared.tile_stats(16), shared.sync_steps(16, 1 + i % 3)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|(s, _)| Arc::ptr_eq(s, &got[0].0)));
+        assert!(Arc::ptr_eq(&prep.tile_stats(16), &got[0].0));
+        assert!(!Arc::ptr_eq(&prep.tile_stats(8), &got[0].0));
+        for (i, (stats, steps)) in got.iter().enumerate() {
+            assert_eq!(*steps, stats.sync_steps(1 + i % 3));
+        }
     }
 }

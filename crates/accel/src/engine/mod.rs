@@ -40,7 +40,7 @@ pub use elementwise::{
 };
 pub use gemm::{simulate_gemm, simulate_gemm_prepared, GemmDims};
 pub use sddmm::{simulate_sddmm, simulate_sddmm_prepared, SddmmWorkload};
-pub use spmm::{simulate_spmm, simulate_spmm_prepared, SpmmWorkload};
+pub use spmm::{simulate_spmm, simulate_spmm_prepared, spmm_cycle_floor, SpmmWorkload};
 
 use serde::Serialize;
 

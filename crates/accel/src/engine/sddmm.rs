@@ -393,19 +393,19 @@ impl PhaseEngine for SddmmLeaf<'_> {
                 // innermost. The F loop is batched per `loop_classes` — at a
                 // fixed v-tile its passes are consecutive in true iteration
                 // order, so the batching is chunk-exact. Without chunk
-                // timestamps the summary walk also folds identical vertex
-                // tiles into their class; the chunked and reference walks
-                // scan each tile in order.
+                // timestamps the summary walk also folds the vertex tiles of
+                // one `(sum, max, rows)` group; the chunked and reference
+                // walks scan each tile in order.
                 if !self.naive && !w.has_chunks() {
                     let f_walk = loop_classes(s.n_f);
-                    for c in self.prep.summary(s.tv).classes() {
-                        w.class_replays += c.mult - 1;
-                        let steps = (c.max as u64).div_ceil(tn);
+                    for g in self.prep.tile_stats(s.tv).groups() {
+                        w.class_replays += g.mult - 1;
+                        let steps = (g.max as u64).div_ceil(tn);
                         for &(if_, mf) in &f_walk {
                             let af = actual_tile(s.d, s.tf, if_) as u64;
                             self.scoring_pass(
-                                w, steps, c.sum, c.rows, af, if_ as u64, true,
-                                mf * s.h * c.mult,
+                                w, steps, g.sum, g.rows, af, if_ as u64, true,
+                                mf * s.h * g.mult,
                             );
                         }
                     }
@@ -435,15 +435,15 @@ impl PhaseEngine for SddmmLeaf<'_> {
                 // other v-tiles in true order, so with chunk timestamps the F
                 // loop walks per index, scanning each tile in order.
                 if !self.naive && !w.has_chunks() {
-                    let ws = self.prep.summary(s.tv);
+                    let stats = self.prep.tile_stats(s.tv);
                     for &(if_, mf) in &loop_classes(s.n_f) {
                         let af = actual_tile(s.d, s.tf, if_) as u64;
-                        for c in ws.classes() {
-                            w.class_replays += c.mult - 1;
-                            let steps = (c.max as u64).div_ceil(tn);
+                        for g in stats.groups() {
+                            w.class_replays += g.mult - 1;
+                            let steps = (g.max as u64).div_ceil(tn);
                             self.scoring_pass(
-                                w, steps, c.sum, c.rows, af, if_ as u64, true,
-                                mf * s.h * c.mult,
+                                w, steps, g.sum, g.rows, af, if_ as u64, true,
+                                mf * s.h * g.mult,
                             );
                         }
                     }

@@ -72,6 +72,36 @@ pub fn simulate_spmm_prepared(
     run_phase(&leaf, cfg, classes, opts)
 }
 
+/// An admissible floor on the cycles [`simulate_spmm_prepared`] reports for
+/// `tiling` on `cfg`, under any engine options: the compute steps of the
+/// walk's passes alone, which every pass pays in full — stalls, preloads,
+/// fills, spills and capacity passes only add to them. On the walk's own
+/// clamped tile grid, with `n_F = ⌈F / T_F⌉`:
+///
+/// * VFN, FVN and VNF: every vertex tile `t` costs `n_F` passes of
+///   `max(1, ⌈max_t / T_N⌉)` steps (VFN/FVN) or `max(1, ⌈max_t / T_N⌉)`
+///   passes of `n_F` steps (VNF) — the tile-synchronization term, so
+///   `n_F · Σ_t max(1, ⌈max_t / T_N⌉)` in all;
+/// * NVF: each of the `n_V` tiles takes an `n_F`-step pass in every one of
+///   the `max(1, ⌈max_deg / T_N⌉)` global neighbour slices, alive or dead;
+/// * FNV and NFV: each of the `n_F` feature tiles takes at least one step in
+///   every global neighbour slice.
+///
+/// O(distinct tile maxima) per `(T_V, T_N)` from [`PreparedSpmm`]'s tile
+/// statistics, a lookup after that — never a walk.
+pub fn spmm_cycle_floor(
+    prep: &PreparedSpmm<'_>,
+    feature_width: usize,
+    tiling: &IntraTiling,
+    cfg: &AccelConfig,
+) -> u64 {
+    let leaf = SpmmLeaf::new(prep, feature_width, tiling, cfg);
+    if leaf.is_empty() {
+        return 0;
+    }
+    leaf.step_floor()
+}
+
 /// The SpMM leaf: row-major orders walked exactly, column-granularity and
 /// `N`-outermost orders through the degree-histogram model.
 struct SpmmLeaf<'a> {
@@ -348,6 +378,18 @@ impl<'a> SpmmLeaf<'a> {
         }
     }
 
+    /// The compute steps every walk of this leaf charges at least (the
+    /// floor [`spmm_cycle_floor`] states).
+    fn step_floor(&self) -> u64 {
+        let n_f = self.n_f as u64;
+        let n_red = self.prep.max_degree().div_ceil(self.tn).max(1) as u64;
+        match (self.pos_v, self.pos_n) {
+            (_, 2) | (0, 1) => n_f * self.prep.sync_steps(self.tv, self.tn),
+            (1, 0) => n_f * self.n_v as u64 * n_red,
+            _ => n_f * n_red,
+        }
+    }
+
     /// The tiles of an unchunked NVF walk that are dead: a class of `mult`
     /// tiles with max degree `max` is alive in its first `ceil(max / T_N)`
     /// slices and dead in the rest of the `n_red`. A dead pass carries no
@@ -602,8 +644,9 @@ impl SpmmLeaf<'_> {
     }
 
     /// The summary-driven walk: O(degree classes + tile boundaries) per
-    /// simulation. Unchunked runs iterate [`TileClass`]es with the class
-    /// multiplicity folded into the pass (`ChunkTracker::advance_repeat`
+    /// simulation. Unchunked runs iterate tile groups (VFN/FVN, which read
+    /// only a tile's `(sum, max, rows)`) or [`TileClass`]es (VNF/NVF) with
+    /// the multiplicity folded into the pass (`ChunkTracker::advance_repeat`
     /// semantics make the batching exact); chunked runs iterate tiles in true
     /// order — VFN/FVN scanning each tile's `(sum, max, rows)` straight from
     /// the degrees, VNF/NVF reading its slice summary from its class in
@@ -621,16 +664,16 @@ impl SpmmLeaf<'_> {
 
         match (self.pos_v, self.pos_n) {
             (0, 2) | (1, 2) => {
-                // VFN / FVN: only (sum, max, rows) of each tile matter.
-                // Chunk timestamps pin the tile order, so the chunked walk
-                // scans each tile's degrees in place rather than building
-                // the class summary it would only read those three from.
+                // VFN / FVN: only (sum, max, rows) of each tile matter, so
+                // the unchunked walk goes by the tile groups. Chunk
+                // timestamps pin the tile order, so the chunked walk scans
+                // each tile's degrees in place.
                 if !w.has_chunks() {
-                    for c in self.prep.summary(tv).classes() {
-                        w.class_replays += c.mult - 1;
-                        let steps = (c.max as u64).div_ceil(tn as u64);
+                    for g in self.prep.tile_stats(tv).groups() {
+                        w.class_replays += g.mult - 1;
+                        let steps = (g.max as u64).div_ceil(tn as u64);
                         for &(af, m) in &f_classes {
-                            self.reduction_innermost_pass(w, steps, c.sum, c.rows, af, m * c.mult);
+                            self.reduction_innermost_pass(w, steps, g.sum, g.rows, af, m * g.mult);
                         }
                     }
                 } else {

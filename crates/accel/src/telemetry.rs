@@ -5,19 +5,21 @@
 //!
 //! * [`prepare_ops`] — a **thread-local** count of degree elements visited
 //!   while building prepared-workload structures (`PreparedSpmm`,
-//!   `WorkloadSummary`, `DegreeSummary`, degree classes) *and* while scanning
-//!   tiles inside a reference walk or a chunked VFN/FVN walk (which reads
-//!   each tile's degrees in place instead of building a summary).
+//!   `TileStats`, `WorkloadSummary`, `DegreeSummary`, degree classes) *and*
+//!   while scanning tiles inside a reference walk or a chunked VFN/FVN walk
+//!   (which reads each tile's degrees in place instead of building a
+//!   summary).
 //!   Thread-local so a test can assert "the second unchunked simulation of
 //!   the same workload built nothing" without interference from parallel
 //!   tests; reset it with [`reset_prepare_ops`] before the section under
 //!   measurement.
 //! * [`class_replays`] — a **process-wide monotone** count of tile passes that
-//!   were *replayed* from a batched degree/tile class instead of being walked
-//!   (a class covering `m` identical tiles costs one timeline computation and
-//!   `m − 1` replays). It counts *tile* replays, not folded neighbour
-//!   slices: batching a run of identical slices into one pass adds nothing
-//!   to it, so the value does not depend on how the slices fold. The CI
+//!   were *replayed* from a batched degree class, tile group or tile class
+//!   instead of being walked (a batch covering `m` identical tiles costs one
+//!   timeline computation and `m − 1` replays). It counts *tile* replays,
+//!   not folded neighbour slices: batching a run of identical slices into
+//!   one pass adds nothing to it, so the value does not depend on how the
+//!   slices fold. The CI
 //!   scale smoke pins its rmat-18 value — proof the summary-driven path
 //!   engaged and its work did not move.
 

@@ -186,10 +186,14 @@ pub struct ExploreOutcome {
     pub elapsed_ms: f64,
     /// Worker threads used.
     pub threads: usize,
-    /// Degree-class pass replays the summary-driven walk batched during this
+    /// Tile pass replays the summary-driven walk batched during this
     /// exploration (delta of the process-wide [`omega_accel::telemetry`]
     /// counter, summed over all worker threads) — each one is a whole
     /// row-block timeline the per-edge reference walk would have recomputed.
+    /// A batch is a tile group (VFN/FVN: tiles of equal degree sum, max and
+    /// rows), a tile class (VNF/NVF: tiles of equal degree multiset) or a
+    /// degree class (single-row tiles), so the count moves with how tiles
+    /// group, not only with the work searched.
     /// 0 when the answer came from the outcome cache or the reference walk ran.
     pub class_replays: u64,
 }

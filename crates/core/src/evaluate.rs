@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use omega_accel::engine::{
     simulate_elementwise_prepared, simulate_gemm_prepared, simulate_sddmm_prepared,
-    simulate_spmm_prepared, CapacityBudget, ChunkSide, ChunkSpec, ElementwiseWorkload,
-    EngineOptions, GemmDims, OperandClasses, PreparedGemm, PreparedSpmm,
+    simulate_spmm_prepared, spmm_cycle_floor, CapacityBudget, ChunkSide, ChunkSpec,
+    ElementwiseWorkload, EngineOptions, GemmDims, OperandClasses, PreparedGemm, PreparedSpmm,
 };
 use omega_accel::{
     AccelConfig, AccessCounters, BandwidthShare, ChunkTimeline, EnergyModel, OperandClass,
@@ -560,11 +560,14 @@ impl<'a> PreparedEval<'a> {
 
     /// An admissible (never over-estimating) lower bound on the planned
     /// dataflow's total cycles: per phase, the maximum of the MAC roofline
-    /// (`macs / PE footprint`) and the NoC bandwidth floors over the
+    /// (`macs / PE footprint`), the NoC bandwidth floors over the
     /// *compulsory* traffic (streaming inputs, single-write outputs) at that
-    /// phase's bandwidth share; phases add under Seq/SP and overlap (max)
-    /// under PP. Every term under-counts what the engines charge — stalls,
-    /// adjacency traffic, psum spills, tile-synchronization, and fill
+    /// phase's bandwidth share and, for an SpMM phase, the tile-synchronized
+    /// compute steps of its walk ([`spmm_cycle_floor`]: each vertex tile
+    /// advances at its heaviest row, so a skewed degree distribution raises
+    /// the floor the way it raises the runtime); phases add under Seq/SP and
+    /// overlap (max) under PP. Every term under-counts what the engines
+    /// charge — stalls, adjacency traffic, psum spills, preloads and fill
     /// overheads only push the true cycle count further up — so pruning on
     /// this bound can never discard a candidate that would have ranked.
     pub(crate) fn lower_bound(&self, plan: &EvalPlan, inter: InterPhase) -> u64 {
@@ -611,10 +614,17 @@ impl<'a> PreparedEval<'a> {
     /// One phase's admissible cycle lower bound (see [`Self::lower_bound`]).
     pub(crate) fn phase_bound(&self, key: &PhaseKey) -> u64 {
         let Some(fl) = self.phase_floor(key) else { return 0 };
-        fl.macs
+        let roofline = fl
+            .macs
             .div_ceil(fl.footprint.max(1))
             .max((fl.a_reads + fl.b_reads).div_ceil(fl.bandwidth.dist.max(1) as u64))
-            .max(fl.writes.div_ceil(fl.bandwidth.red.max(1) as u64))
+            .max(fl.writes.div_ceil(fl.bandwidth.red.max(1) as u64));
+        match key.kind {
+            PhaseKind::Spmm { width } => {
+                roofline.max(spmm_cycle_floor(&self.spmm, width, &key.tiling, self.cfg))
+            }
+            _ => roofline,
+        }
     }
 
     /// The compulsory work and traffic of one planned phase, split by operand
@@ -826,6 +836,7 @@ mod tests {
     use super::*;
     use omega_dataflow::presets::Preset;
     use omega_graph::DatasetSpec;
+    use proptest::prelude::*;
 
     fn small_workload() -> GnnWorkload {
         let d = DatasetSpec::mutag().generate(1);
@@ -1211,5 +1222,103 @@ mod tests {
             }
         }
         assert_eq!(sides.len(), 2, "both chunk sides covered: {sides:?}");
+    }
+
+    /// A layer over a bare degree vector: `f` input columns, 16 hidden.
+    fn degree_workload(degrees: &[usize], f: usize) -> GnnWorkload {
+        let (v, nnz) = (degrees.len(), degrees.iter().map(|&d| d as u64).sum::<u64>());
+        GnnWorkload {
+            name: "degrees".into(),
+            v,
+            f,
+            g: 16,
+            degrees: degrees.to_vec(),
+            nnz,
+            mean_degree: if v > 0 { nnz as f64 / v as f64 } else { 0.0 },
+            max_degree: degrees.iter().copied().max().unwrap_or(0),
+            attention: None,
+            post_op: None,
+        }
+    }
+
+    /// The layers over `degrees` the admissibility gate runs, each on its
+    /// own machine: GCN on the paper default, GAT (an SDDMM prefix) under
+    /// an enforced capacity budget (32 B RFs, a 4 KiB GB) and GCN with a
+    /// LayerNorm post-op on a NoC throttled to 2 elements per cycle — then
+    /// GCN under the other two machines.
+    fn gate_runs(degrees: &[usize], f: usize) -> Vec<(GnnWorkload, AccelConfig)> {
+        let mut tight = AccelConfig::paper_default();
+        tight.rf_bytes_per_pe = 32;
+        tight.gb_bytes = 4 << 10;
+        tight.knobs.enforce_capacity = true;
+        let throttled = AccelConfig::paper_default().with_bandwidth(2);
+        let gcn = degree_workload(degrees, f);
+        let mut gat = gcn.clone();
+        gat.attention = Some(crate::AttentionSpec::new(4));
+        let mut post = gcn.clone();
+        post.post_op = Some(omega_accel::engine::ElementwiseOp::LayerNorm);
+        vec![
+            (gcn.clone(), AccelConfig::paper_default()),
+            (gat, tight),
+            (post, throttled),
+            (gcn.clone(), tight),
+            (gcn, throttled),
+        ]
+    }
+
+    /// Every sweep candidate of `wl` on `cfg` — the 6,656 patterns and the
+    /// presets — evaluates to at least its cycle lower bound, and to at
+    /// least its bound vector on every axis.
+    fn check_admissible(wl: &GnnWorkload, cfg: &AccelConfig) -> Result<(), TestCaseError> {
+        let prep = PreparedEval::new(wl, cfg);
+        let cache = PhaseSimCache::new();
+        for df in crate::dse::sweep_candidates(wl, cfg) {
+            let Ok(plan) = prep.plan(&df) else { continue };
+            let report = prep.run_plan(&df, &plan, Some(&cache));
+            let bound = prep.lower_bound(&plan, df.inter);
+            prop_assert!(bound <= report.total_cycles, "{}: {} > {}", df, bound, report.total_cycles);
+            let axes = [
+                report.total_cycles as f64,
+                report.energy.total_pj(),
+                report.buffer_peak_bytes as f64,
+            ];
+            for (axis, (b, t)) in prep.bound_vector(&plan, &df).into_iter().zip(axes).enumerate() {
+                prop_assert!(b <= t, "{}: axis {}: bound {} > {}", df, axis, b, t);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn lower_bounds_never_exceed_the_evaluation(
+            degrees in proptest::collection::vec(0usize..12, 1..90),
+            hub in (0usize..400, 0usize..90),
+            f in 4usize..40,
+        ) {
+            let mut degrees = degrees;
+            let at = hub.1 % degrees.len();
+            degrees[at] = hub.0;
+            for (wl, cfg) in gate_runs(&degrees, f) {
+                check_admissible(&wl, &cfg)?;
+            }
+        }
+    }
+
+    #[test]
+    fn lower_bounds_never_exceed_the_evaluation_on_adversarial_vectors() {
+        // `summary_identity`'s star, holes, lone-hub and multiples vectors.
+        let mut star = vec![2usize; 64];
+        star[0] = 64;
+        let holes: Vec<usize> = (0..80).map(|i| if i % 3 == 0 { 0 } else { 5 + i % 7 }).collect();
+        let mut lone_hub = vec![0usize; 97];
+        lone_hub[41] = 500;
+        let multiples: Vec<usize> = (0..64).map(|i| 4 * (i % 9)).collect();
+        for degrees in [star, holes, lone_hub, multiples] {
+            for (wl, cfg) in gate_runs(&degrees, 24) {
+                check_admissible(&wl, &cfg).unwrap();
+            }
+        }
     }
 }
